@@ -58,6 +58,10 @@ class PhysMem
     /** Number of host-backed pages (for tests / footprint checks). */
     size_t backedPages() const { return pages_.size(); }
 
+    /** Whether the page containing addr is host-backed (an unbacked
+     *  page reads as zeros). */
+    bool backed(Addr addr) const { return pageForConst(addr) != nullptr; }
+
     // ---- poison (RAS): uncorrectable-error marks ------------------
     //
     // Poison is tracked per 64-byte granule (the modelled DRAM ECC

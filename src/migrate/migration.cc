@@ -233,7 +233,7 @@ MigrationEngine::abort(Attempt &at, MigratePhase phase, MonitorError code,
                 break;
         }
     }
-    at.res.sourcePostDigest = src_.stateDigest(config_.fullSourceDigest);
+    at.res.sourcePostDigest = src_.stateDigest();
     oracleStep("abort");
     if (oracle_)
         oracle_->finishMigration();
@@ -291,7 +291,7 @@ MigrationEngine::migrate(DomainId id, uint64_t nonce)
     // on the source: switching away is part of quiesce, not something
     // an abort must undo.
     if (src_.currentDomain() == id) {
-        const uint64_t before = src_.stateDigest(config_.fullSourceDigest);
+        const uint64_t before = src_.stateDigest();
         const MonitorResult sw = src_.switchTo(0);
         if (!sw.ok) {
             at.res.sourcePreDigest = before;
@@ -300,7 +300,7 @@ MigrationEngine::migrate(DomainId id, uint64_t nonce)
         }
         at.phaseCycles += sw.cycles;
     }
-    at.res.sourcePreDigest = src_.stateDigest(config_.fullSourceDigest);
+    at.res.sourcePreDigest = src_.stateDigest();
     const MonitorResult sus = src_.suspendDomain(id);
     if (!sus.ok) {
         return abort(at, MigratePhase::Quiesce, sus.code,

@@ -81,8 +81,6 @@ struct MigrateConfig
     uint64_t phaseTimeoutCycles = 4'000'000;
     /** After commit: re-apply hart contexts and switch the domain in. */
     bool resumeOnDest = true;
-    /** Hash full PMP-table contents in the rollback baseline digest. */
-    bool fullSourceDigest = true;
     /**
      * Receive-side sequence-dedup window (frames). Bounds the
      * receiver's dedup state independently of totalFrames; frames at

@@ -57,9 +57,17 @@ MerkleTree::hashPage(uint64_t leaf_index) const
 {
     if (leaf_index * kPageSize >= size_)
         return 0; // implicit zero padding
+    const Addr pa = base_ + leaf_index * kPageSize;
+    // An unbacked page reads as zeros: its hash is the zero page's,
+    // computed once (large, mostly untouched regions are the norm).
+    static const MerkleHash kZeroPageHash = [] {
+        const std::vector<uint8_t> zeros(kPageSize, 0);
+        return merkleHashBytes(zeros.data(), zeros.size());
+    }();
+    if (!mem_.backed(pa))
+        return kZeroPageHash;
     std::vector<uint8_t> buf(kPageSize);
-    mem_.readBytes(base_ + leaf_index * kPageSize, buf.data(),
-                   kPageSize);
+    mem_.readBytes(pa, buf.data(), kPageSize);
     return merkleHashBytes(buf.data(), buf.size());
 }
 

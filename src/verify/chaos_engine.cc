@@ -1,9 +1,10 @@
-#include "monitor/chaos_engine.h"
+#include "verify/chaos_engine.h"
 
 #include <algorithm>
 #include <array>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "base/fault_inject.h"
@@ -15,13 +16,13 @@
 #include "core/virt_machine.h"
 #include "hpmp/iopmp.h"
 #include "mem/scrubber.h"
-#include "monitor/invariants.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
 #include "os/address_space.h"
 #include "os/kernel.h"
 #include "pt/page_table.h"
 #include "pt/pte.h"
+#include "verify/check_battery.h"
 
 namespace hpmp
 {
@@ -146,332 +147,40 @@ struct HartGuest
     unsigned currentNptIndex() const { return usingB ? 1 : 0; }
 };
 
-/**
- * Interleave hook of the multi-hart campaign: runs the stale checker
- * at every IPI step and, from inside the shootdown window, fires
- * nested monitor calls from victim harts — every one of them must
- * bounce off the global monitor lock with LockContended and zero state
- * change.
- */
-class ChaosIpiHook : public InterleaveHook
-{
-  public:
-    ChaosIpiHook(SmpSystem &smp, SecureMonitor &monitor,
-                 StaleChecker &checker, Rng &rng)
-        : smp_(smp), monitor_(monitor), checker_(checker), rng_(rng)
-    {
-    }
-
-    void
-    onIpiStep(const IpiEvent &event) override
-    {
-        checker_.onIpiStep(event);
-        if (failed_)
-            return;
-        // Posted/Delivered steps always run inside a monitor
-        // transaction (the satp fence path does not take the lock, so
-        // its SatpFence steps are not probed).
-        if (event.phase != IpiPhase::Posted &&
-            event.phase != IpiPhase::Delivered) {
-            return;
-        }
-        if (!rng_.chance(0.12))
-            return;
-        const unsigned saved = smp_.currentHart();
-        smp_.setCurrentHart(event.dstHart);
-        const MonitorResult r =
-            monitor_.switchTo(monitor_.currentDomain());
-        smp_.setCurrentHart(saved);
-        if (r.ok || r.code != MonitorError::LockContended) {
-            failed_ = true;
-            why_ = "nested monitor call from hart " +
-                   std::to_string(event.dstHart) +
-                   " inside the shootdown window did not bounce with "
-                   "lock-contended (got " +
-                   std::string(r.ok ? "ok" : toString(r.code)) + ")";
-            return;
-        }
-        ++contended_;
-    }
-
-    bool failed() const { return failed_; }
-    const std::string &failure() const { return why_; }
-    uint64_t contended() const { return contended_; }
-
-  private:
-    SmpSystem &smp_;
-    SecureMonitor &monitor_;
-    StaleChecker &checker_;
-    Rng &rng_;
-    uint64_t contended_ = 0;
-    bool failed_ = false;
-    std::string why_;
-};
-
-ChaosStats runChaosSmp(const ChaosConfig &config);
-
 } // namespace
 
+/** The two-host campaign (migrate_chaos.cc). */
+ChaosStats runMigrateChaos(const ChaosConfig &config);
+
+/**
+ * Every campaign but Migrate runs here: each op initiates from a
+ * random hart, IPI shootdowns run with the stale-translation checker
+ * and nested-call lock probes interleaved into every protocol step,
+ * and the check battery judges every op (per-hart rollback, hart
+ * convergence outside windows, stale sweeps, window closure,
+ * invariants, and the RAS containment audit).
+ */
 ChaosStats
 runChaos(const ChaosConfig &config)
 {
-    panic_if(config.migrateLayer,
-             "--migrate campaigns run through runMigrateChaos "
-             "(migrate/migrate_chaos.h), not runChaos");
-    // RAS campaigns always run the SMP engine (it hosts the scrubber,
-    // the DMA masters and the blast-radius audits), even single-hart.
-    if (config.harts > 1 || config.rasLayer)
-        return runChaosSmp(config);
+    if (config.layer == ChaosLayer::Migrate)
+        return runMigrateChaos(config);
+    const bool osLayer = config.layer == ChaosLayer::Os;
+    const bool virtLayer = config.layer == ChaosLayer::Virt;
+    const bool fleetLayer = config.layer == ChaosLayer::Fleet;
+    const bool rasLayer = config.layer == ChaosLayer::Ras;
 
-    ChaosStats stats;
-    Rng rng(config.seed);
-
-    auto machine = std::make_unique<Machine>(chaosMachineParams());
-    MonitorConfig mc;
-    mc.scheme = config.scheme;
-    SecureMonitor monitor(*machine, mc);
-    machine->setPriv(PrivMode::Supervisor);
-
-    FaultInjector &injector = FaultInjector::instance();
-    injector.enable(config.seed);
-
-    const char *op_name = "?";
-    auto fail = [&](unsigned index, const std::string &why) {
-        std::ostringstream os;
-        os << "seed " << config.seed << " op #" << index << " ("
-           << op_name << "): " << why;
-        stats.failed = true;
-        stats.failure = os.str();
-    };
-
-    // Helpers over the current population -----------------------------
-    auto live = [&]() { return monitor.domainIds(); };
-    auto pick_domain = [&](bool allow_bogus) -> DomainId {
-        if (allow_bogus && rng.chance(0.08))
-            return kBogusDomain;
-        const auto ids = live();
-        return ids[rng.below(ids.size())];
-    };
-    auto pick_gms_base = [&](DomainId id) -> Addr {
-        if (!monitor.domainExists(id))
-            return windowOf(id);
-        const auto &list = monitor.gmsOf(id);
-        if (list.empty() || rng.chance(0.1)) {
-            // A base that (usually) names no GMS.
-            return windowOf(id) + rng.below(16) * kPageSize;
-        }
-        return list[rng.below(list.size())].base;
-    };
-    auto random_gms = [&](DomainId id) -> Gms {
-        Gms gms;
-        gms.size = randomNapotSize(rng);
-        const Addr window = windowOf(id);
-        gms.base = window + rng.below(kWindowSize / gms.size) * gms.size;
-        gms.perm = randomPerm(rng);
-        gms.label = rng.chance(0.7) ? GmsLabel::Fast : GmsLabel::Slow;
-        // A taste of hostile input: misaligned bases, zero sizes and
-        // regions reaching into the monitor-private area. All must be
-        // rejected with a typed error and zero state change.
-        if (rng.chance(0.05))
-            gms.base += 0x100;
-        if (rng.chance(0.03))
-            gms.size = 0;
-        if (rng.chance(0.04))
-            gms.base = monitor.config().monitorBase +
-                       rng.below(monitor.config().monitorSize / kPageSize) *
-                           kPageSize;
-        return gms;
-    };
-
-    // Windowed telemetry: the campaign clock is the monitor's own
-    // call_cycles sum, which advances exactly with simulated work.
-    StatRegistry seriesRegistry;
-    std::unique_ptr<StatSampler> sampler;
-    auto campaign_cycles = [&]() -> uint64_t {
-        const Distribution *d = monitor.stats().getDist("call_cycles");
-        return d ? d->sum() : 0;
-    };
-    if (config.statsSeriesOut) {
-        monitor.registerStats(seriesRegistry);
-        machine->registerStats(seriesRegistry);
-        sampler = std::make_unique<StatSampler>(seriesRegistry,
-                                                config.statsSeriesInterval);
-    }
-
-    for (unsigned i = 0; i < config.ops && !stats.failed; ++i) {
-        if (sampler)
-            sampler->advanceTo(campaign_cycles());
-        // Arm a fault for this op with the configured probability: the
-        // Nth upcoming site hit, whatever site that turns out to be.
-        const bool armed = rng.chance(config.faultProb);
-        const bool digest_checked = armed || i % 8 == 0;
-        uint64_t pre_digest = 0;
-        if (digest_checked)
-            pre_digest = monitor.stateDigest(config.fullDigest);
-        if (armed)
-            injector.armAnyNth(1 + rng.below(8));
-
-        // ---- run one random operation -------------------------------
-        MonitorResult result;
-        const unsigned roll = unsigned(rng.below(100));
-        if (roll < 8) {
-            op_name = "createDomain";
-            if (live().size() < kMaxDomains)
-                monitor.createDomain();
-        } else if (roll < 14) {
-            op_name = "destroyDomain";
-            result = monitor.destroyDomain(pick_domain(true));
-        } else if (roll < 34) {
-            op_name = "addGms";
-            const DomainId id = pick_domain(true);
-            if (!monitor.domainExists(id) ||
-                monitor.gmsOf(id).size() < kMaxGmsPerDomain) {
-                result = monitor.addGms(id, random_gms(id));
-            }
-        } else if (roll < 42) {
-            op_name = "removeGms";
-            const DomainId id = pick_domain(true);
-            result = monitor.removeGms(id, pick_gms_base(id));
-        } else if (roll < 50) {
-            op_name = "setLabel";
-            const DomainId id = pick_domain(true);
-            result = monitor.setLabel(id, pick_gms_base(id),
-                                      rng.chance(0.5) ? GmsLabel::Fast
-                                                      : GmsLabel::Slow);
-        } else if (roll < 56) {
-            op_name = "setPerm";
-            const DomainId id = pick_domain(true);
-            result =
-                monitor.setPerm(id, pick_gms_base(id), randomPerm(rng));
-        } else if (roll < 62) {
-            op_name = "shareGms";
-            const DomainId owner = pick_domain(false);
-            const DomainId peer = pick_domain(true);
-            result = monitor.shareGms(owner, pick_gms_base(owner), peer,
-                                      randomPerm(rng));
-        } else if (roll < 72) {
-            op_name = "hintHotRegion";
-            const DomainId id = pick_domain(true);
-            Addr base = pick_gms_base(id);
-            uint64_t size = randomNapotSize(rng);
-            if (monitor.domainExists(id) && !monitor.gmsOf(id).empty() &&
-                rng.chance(0.8)) {
-                // A NAPOT subrange of an existing GMS (usually valid).
-                const auto &list = monitor.gmsOf(id);
-                const Gms &gms = list[rng.below(list.size())];
-                size = std::max<uint64_t>(gms.size >> rng.below(3),
-                                          kPageSize);
-                if (isPowerOf2(gms.size) && size <= gms.size) {
-                    base = gms.base +
-                           rng.below(gms.size / size) * size;
-                }
-            }
-            result = monitor.hintHotRegion(id, base, size);
-        } else if (roll < 86) {
-            op_name = "switchTo";
-            result = monitor.switchTo(pick_domain(true));
-        } else {
-            op_name = "attest";
-            const DomainId id = pick_domain(false);
-            const uint64_t nonce = rng.next();
-            const auto report = monitor.attestDomain(id, nonce);
-            if (report.ok) {
-                if (!monitor.attestor().verify(report.value, nonce)) {
-                    fail(i, "attestation report failed verification");
-                    break;
-                }
-            } else {
-                result = MonitorResult::fail(report.code, report.error);
-            }
-        }
-        injector.clearPlans(); // disarm anything that did not fire
-
-        // ---- audit the outcome --------------------------------------
-        ++stats.ops;
-        if (result.ok) {
-            ++stats.okOps;
-            if (result.degraded)
-                ++stats.degradedOps;
-        } else {
-            ++stats.failedOps;
-            if (result.code == MonitorError::InjectedFault)
-                ++stats.injectedFaults;
-            if (result.code == MonitorError::None) {
-                fail(i, "failed without an error code: " + result.error);
-                break;
-            }
-            if (digest_checked) {
-                ++stats.rollbackChecks;
-                const uint64_t post =
-                    monitor.stateDigest(config.fullDigest);
-                if (post != pre_digest) {
-                    fail(i, std::string("state changed across a failed "
-                                        "call (") +
-                                toString(result.code) + ": " +
-                                result.error + ")");
-                    break;
-                }
-            }
-        }
-
-        ++stats.invariantChecks;
-        const std::string violation = checkIsolationInvariants(monitor);
-        if (!violation.empty()) {
-            fail(i, "invariant violated: " + violation);
-            break;
-        }
-    }
-
-    injector.disable();
-
-    if (sampler) {
-        sampler->sample(campaign_cycles());
-        *config.statsSeriesOut = sampler->dumpJson();
-    }
-    if (config.statsJsonOut) {
-        StatRegistry registry;
-        monitor.registerStats(registry);
-        machine->registerStats(registry);
-        *config.statsJsonOut = registry.dumpJson();
-    }
-    return stats;
-}
-
-namespace
-{
-
-/**
- * The multi-hart campaign. Same domain-lifecycle op mix as the
- * single-hart fuzzer, plus: every op initiates from a random hart,
- * IPI shootdowns run with the stale-translation checker and
- * nested-call lock probes interleaved into every protocol step,
- * rollback is verified per hart, hart register files are checked for
- * convergence outside windows, and (with osLayer) per-hart kernels
- * drive mmap/munmap/touch/demand-fault and DMA traffic under the same
- * injection plans.
- */
-ChaosStats
-runChaosSmp(const ChaosConfig &config)
-{
     ChaosStats stats;
     stats.harts = config.harts;
     Rng rng(config.seed);
-    panic_if(config.virtLayer && config.osLayer,
-             "--virt and --os-layer are mutually exclusive");
-    panic_if(config.fleetLayer && (config.osLayer || config.virtLayer),
-             "--fleet is mutually exclusive with --os-layer and --virt");
-    panic_if(config.rasLayer &&
-                 (config.osLayer || config.virtLayer || config.fleetLayer),
-             "--ras is mutually exclusive with --os-layer, --virt and "
-             "--fleet");
 
     SmpParams sp;
     sp.harts = config.harts;
     sp.schedSeed = config.seed * 0x9E3779B97F4A7C15ULL + config.harts;
     SmpSystem smp(chaosMachineParams(), sp);
-    MonitorConfig mc;
-    mc.scheme = config.scheme;
-    SecureMonitor monitor(smp, mc);
+    MonitorConfig monitor_config;
+    monitor_config.scheme = config.scheme;
+    SecureMonitor monitor(smp, monitor_config);
     for (unsigned h = 0; h < config.harts; ++h)
         smp.hart(h).setPriv(PrivMode::Supervisor);
 
@@ -482,7 +191,7 @@ runChaosSmp(const ChaosConfig &config)
     // Per-hart [base, len) regions currently mmapped (touch targets).
     std::vector<std::vector<std::pair<Addr, uint64_t>>> mapped(
         config.harts);
-    if (config.osLayer) {
+    if (osLayer) {
         for (unsigned h = 0; h < config.harts; ++h) {
             kernelDomain[h] = monitor.createDomain();
             KernelConfig kc;
@@ -509,13 +218,13 @@ runChaosSmp(const ChaosConfig &config)
             w.type = (wi % 2) ? AccessType::Store : AccessType::Load;
             if (k == 0) {
                 w.pa = windowOf(h % kWindows) + (1 + h) * kPageSize;
-            } else if (config.osLayer) {
+            } else if (osLayer) {
                 w.pa = kKernelMemBase + h * kKernelMemStride +
                        kernels[h]->config().ptPoolBytes;
             } else {
                 w.pa = windowOf((h + 3) % kWindows) + (2 + h) * kPageSize;
             }
-            if (config.osLayer) {
+            if (osLayer) {
                 w.va = kWatchVaBase + wi * kPageSize;
                 const bool mapped_ok =
                     spaces[h]->mapFrameAt(w.va, w.pa, Perm::rwx(), false);
@@ -531,7 +240,7 @@ runChaosSmp(const ChaosConfig &config)
 
     // Point every hart's MMU at its own address space. Runs through
     // Machine::setSatp, i.e. the remote-fence accounting path.
-    if (config.osLayer) {
+    if (osLayer) {
         for (unsigned h = 0; h < config.harts; ++h) {
             smp.setCurrentHart(h);
             smp.hart(h).setSatp(spaces[h]->rootPa(),
@@ -542,7 +251,7 @@ runChaosSmp(const ChaosConfig &config)
 
     // ---- virt layer: one guest per hart ----------------------------
     std::vector<HartGuest> guests;
-    if (config.virtLayer) {
+    if (virtLayer) {
         smp.enableVirt();
         // One slow NAPOT GMS of the host domain covers every guest
         // arena: the guests only reach memory while the host domain is
@@ -641,8 +350,10 @@ runChaosSmp(const ChaosConfig &config)
                           Pte::leaf(pa, perm, user, true, true).raw);
     };
 
-    ChaosIpiHook hook(smp, monitor, checker, rng);
+    ProbeHook hook(smp, monitor, checker,
+                   [&](const IpiEvent &) { return rng.chance(0.12); });
     smp.setInterleaveHook(&hook);
+    CheckBattery battery(monitor, &checker, &hook);
 
     // ---- DMA masters behind a two-master IOPMP ---------------------
     // Each master sits on its own hart's cache hierarchy (master 1
@@ -669,13 +380,12 @@ runChaosSmp(const ChaosConfig &config)
     // the ras.monitor sub-op instead, so a whole-host degrade is
     // always an *expected* event the audits can account for.
     std::unique_ptr<Scrubber> scrub;
-    if (config.rasLayer) {
+    if (rasLayer) {
         scrub = std::make_unique<Scrubber>(
             smp.mem(), kWindowBase, kWindows * kWindowSize, 32);
         scrub->setSkip(
             [&](Addr page) { return monitor.pageQuarantined(page); });
     }
-    bool rasFatalExpected = false;
 
     FaultInjector &injector = FaultInjector::instance();
     injector.enable(config.seed);
@@ -689,11 +399,10 @@ runChaosSmp(const ChaosConfig &config)
         stats.failure = os.str();
     };
 
-    // Helpers over the current population (same shapes as the
-    // single-hart campaign).
+    // Helpers over the current population.
     auto live = [&]() { return monitor.domainIds(); };
     const size_t max_domains =
-        kMaxDomains + 1 + (config.osLayer ? config.harts : 0);
+        kMaxDomains + 1 + (osLayer ? config.harts : 0);
     auto pick_domain = [&](bool allow_bogus) -> DomainId {
         if (allow_bogus && rng.chance(0.08))
             return kBogusDomain;
@@ -760,23 +469,47 @@ runChaosSmp(const ChaosConfig &config)
         }
         return 0;
     };
-    // The blast-radius contract: after any containment, every domain
-    // that existed before — except the one the poison belonged to —
-    // must still exist. Anything else is a cross-domain blast.
-    auto auditBlast = [&](unsigned index,
-                          const std::vector<DomainId> &before,
-                          DomainId allowed_victim) {
-        for (DomainId id : before) {
-            if (id == allowed_victim || monitor.domainExists(id))
-                continue;
-            ++stats.rasBlastViolations;
-            fail(index, "containment destroyed bystander domain " +
-                            std::to_string(id));
-            return false;
+    // The domain whose GMS covers `page` (the last match), if any.
+    auto ownerOf = [&](Addr page) -> std::optional<DomainId> {
+        std::optional<DomainId> owner;
+        for (DomainId id : live()) {
+            for (const Gms &gms : monitor.gmsOf(id)) {
+                if (gms.base <= page && page < gms.base + gms.size)
+                    owner = id;
+            }
         }
-        return true;
+        return owner;
+    };
+    // Judge one machine-check report with the battery's containment
+    // audit. A failed report becomes the op's result: the rollback
+    // digest judges it, as model_check does.
+    auto judge = [&](unsigned index, const PoisonReport &report,
+                     const MonitorValue<RasOutcome> &outcome) {
+        if (!outcome.ok)
+            return MonitorResult::fail(outcome.code, outcome.error);
+        if (const Verdict v = battery.containment(
+                report, outcome, [&]() { return rng.next(); },
+                [&]() { return pick_domain(false); })) {
+            if (v.kind == "blast_radius")
+                ++stats.rasBlastViolations;
+            fail(index, v.what);
+        }
+        return MonitorResult{};
     };
 
+    // The campaign's stats registry (the series adds the DMA bus).
+    auto register_all = [&](StatRegistry &registry) {
+        monitor.registerStats(registry);
+        smp.registerStats(registry);
+        checker.registerStats(registry);
+        iopmp.registerStats(registry);
+        if (scrub)
+            scrub->registerStats(registry);
+        for (unsigned h = 0; h < unsigned(kernels.size()); ++h) {
+            kernels[h]->registerStats(
+                registry, h == 0 ? "os" : "hart" + std::to_string(h) + ".os");
+        }
+    };
     // Windowed telemetry over the full SMP registry, clocked by the
     // monitor's simulated call_cycles sum (see ChaosConfig).
     StatRegistry seriesRegistry;
@@ -786,23 +519,12 @@ runChaosSmp(const ChaosConfig &config)
         return d ? d->sum() : 0;
     };
     if (config.statsSeriesOut) {
-        monitor.registerStats(seriesRegistry);
-        smp.registerStats(seriesRegistry);
-        checker.registerStats(seriesRegistry);
-        iopmp.registerStats(seriesRegistry);
+        register_all(seriesRegistry);
         seriesRegistry.add(&dmaBus.stats());
-        if (scrub)
-            scrub->registerStats(seriesRegistry);
-        for (unsigned h = 0; h < unsigned(kernels.size()); ++h) {
-            kernels[h]->registerStats(
-                seriesRegistry, h == 0 ? "os"
-                                       : "hart" + std::to_string(h) + ".os");
-        }
         sampler = std::make_unique<StatSampler>(seriesRegistry,
                                                 config.statsSeriesInterval);
     }
 
-    std::vector<uint64_t> pre(config.harts, 0);
     for (unsigned i = 0; i < config.ops && !stats.failed; ++i) {
         if (sampler)
             sampler->advanceTo(campaign_cycles());
@@ -814,10 +536,8 @@ runChaosSmp(const ChaosConfig &config)
 
         const bool armed = rng.chance(config.faultProb);
         const bool digest_checked = armed || i % 8 == 0;
-        if (digest_checked) {
-            for (unsigned h = 0; h < config.harts; ++h)
-                pre[h] = monitor.hartStateDigest(h, config.fullDigest);
-        }
+        if (digest_checked)
+            battery.snapshot();
         if (armed)
             injector.armAnyNth(1 + rng.below(8));
 
@@ -835,7 +555,7 @@ runChaosSmp(const ChaosConfig &config)
             // hart's kernel domain — whose arena backs live page
             // tables the campaign keeps exercising — is never torn
             // down mid-flight.
-            const bool backs_kernel = config.osLayer &&
+            const bool backs_kernel = osLayer &&
                 std::find(kernelDomain.begin(), kernelDomain.end(),
                           id) != kernelDomain.end();
             if (!backs_kernel)
@@ -899,7 +619,7 @@ runChaosSmp(const ChaosConfig &config)
             } else {
                 result = MonitorResult::fail(report.code, report.error);
             }
-        } else if (roll < 88 && config.osLayer) {
+        } else if (roll < 88 && osLayer) {
             ++stats.osOps;
             AddressSpace &as = *spaces[initiator];
             auto &regions = mapped[initiator];
@@ -949,7 +669,7 @@ runChaosSmp(const ChaosConfig &config)
                 break;
               }
             }
-        } else if (roll < 88 && config.virtLayer) {
+        } else if (roll < 88 && virtLayer) {
             ++stats.virtOps;
             VirtMachine &vm = smp.virtHart(initiator);
             HartGuest &hg = guests[initiator];
@@ -1004,7 +724,7 @@ runChaosSmp(const ChaosConfig &config)
                 break;
               }
             }
-        } else if (roll < 88 && config.fleetLayer) {
+        } else if (roll < 88 && fleetLayer) {
             ++stats.fleetOps;
             switch (rng.below(4)) {
               case 0: {
@@ -1079,17 +799,15 @@ runChaosSmp(const ChaosConfig &config)
                 break;
               }
             }
-        } else if (roll < 88 && config.rasLayer) {
+        } else if (roll < 88 && rasLayer) {
             ++stats.rasOps;
             // Multi-call sub-ops re-snapshot the rollback oracle after
             // each *successful* mutating call, so a later injected
             // failure is judged against the state it actually aborted
             // from, not the op's entry state.
             auto resnap = [&]() {
-                if (!digest_checked)
-                    return;
-                for (unsigned h = 0; h < config.harts; ++h)
-                    pre[h] = monitor.hartStateDigest(h, config.fullDigest);
+                if (digest_checked)
+                    battery.snapshot();
             };
             switch (rng.below(6)) {
               case 0: {
@@ -1136,27 +854,9 @@ runChaosSmp(const ChaosConfig &config)
                     }
                 }
                 ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(line);
-                if (!mc.ok) {
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value != RasOutcome::ContainedDomain) {
-                    fail(i, std::string("expected contained-domain, "
-                                        "got ") +
-                                toString(mc.value));
-                    break;
-                }
-                if (monitor.domainExists(victim)) {
-                    ++stats.rasBlastViolations;
-                    fail(i, "poisoned domain survived containment");
-                    break;
-                }
-                if (!monitor.pageQuarantined(page)) {
-                    fail(i, "contained page was not quarantined");
-                    break;
-                }
-                auditBlast(i, before, victim);
+                result = judge(i, {PoisonClass::Data, page, victim, 0,
+                                   before, {}},
+                               monitor.handleMachineCheck(line));
                 break;
               }
               case 1: {
@@ -1177,52 +877,10 @@ runChaosSmp(const ChaosConfig &config)
                 ++stats.rasPoisons;
                 const auto before = live();
                 ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(frame);
-                if (!mc.ok) {
-                    // Typed heal failure (injected fault): the
-                    // poisoned table must have been restored
-                    // bit-identically — the generic rollback audit
-                    // below verifies exactly that.
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value == RasOutcome::HostFatal) {
-                    // Table-frame exhaustion mid-rebuild legitimately
-                    // degrades the host late in a long campaign.
-                    rasFatalExpected = true;
-                    break;
-                }
-                if (mc.value != RasOutcome::HealedTable) {
-                    fail(i, std::string("expected healed-table, got ") +
-                                toString(mc.value));
-                    break;
-                }
-                const PmpTable *healed = monitor.tablePeek(victim);
-                if (!monitor.domainExists(victim) || !healed) {
-                    ++stats.rasBlastViolations;
-                    fail(i, "self-heal lost the healed domain");
-                    break;
-                }
-                if (healed->rootPa() == oldRoot) {
-                    fail(i, "healed table still points at the old root");
-                    break;
-                }
-                if (!auditBlast(i, before, 0))
-                    break;
-                // Re-attest: the rebuilt table must produce the same
-                // verifiable report a fresh enrolment would.
-                if (!monitor.domainMigrating(victim)) {
-                    const uint64_t nonce = rng.next();
-                    const auto report =
-                        monitor.attestDomain(victim, nonce);
-                    if (report.ok &&
-                        !monitor.attestor().verify(report.value,
-                                                   nonce)) {
-                        fail(i, "post-heal attestation failed "
-                                "verification");
-                        break;
-                    }
-                }
+                result = judge(i,
+                               {PoisonClass::Pmpte, frame, victim, oldRoot,
+                                before, {}},
+                               monitor.handleMachineCheck(frame));
                 break;
               }
               case 2: {
@@ -1234,16 +892,7 @@ runChaosSmp(const ChaosConfig &config)
                 const Addr page =
                     windowOf(DomainId(rng.below(kWindows))) +
                     rng.below(kWindowSize / kPageSize) * kPageSize;
-                bool owned = false;
-                for (DomainId id : live()) {
-                    for (const Gms &gms : monitor.gmsOf(id)) {
-                        if (gms.base <= page &&
-                            page < gms.base + gms.size) {
-                            owned = true;
-                        }
-                    }
-                }
-                if (owned || isWatchPage(page) ||
+                if (ownerOf(page) || isWatchPage(page) ||
                     monitor.pageQuarantined(page)) {
                     break;
                 }
@@ -1251,18 +900,9 @@ runChaosSmp(const ChaosConfig &config)
                 ++stats.rasPoisons;
                 const auto before = live();
                 ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(page);
-                if (!mc.ok) {
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value != RasOutcome::QuarantinedFree) {
-                    fail(i, std::string("expected quarantined-free, "
-                                        "got ") +
-                                toString(mc.value));
-                    break;
-                }
-                auditBlast(i, before, 0);
+                result = judge(i, {PoisonClass::Free, page, 0, 0, before,
+                                   {}},
+                               monitor.handleMachineCheck(page));
                 break;
               }
               case 3: {
@@ -1281,23 +921,18 @@ runChaosSmp(const ChaosConfig &config)
                     if (!hit)
                         continue;
                     const auto before = live();
-                    DomainId owner = 0;
-                    for (DomainId id : before) {
-                        for (const Gms &gms : monitor.gmsOf(id)) {
-                            if (gms.base <= *hit &&
-                                *hit < gms.base + gms.size) {
-                                owner = id;
-                            }
-                        }
-                    }
+                    const DomainId owner = ownerOf(*hit).value_or(0);
                     ++stats.rasReports;
                     const auto mc = monitor.handleMachineCheck(*hit);
                     if (!mc.ok) {
                         result = MonitorResult::fail(mc.code, mc.error);
                         break;
                     }
-                    if (!auditBlast(i, before, owner))
+                    if (const Verdict v = battery.blast(before, owner)) {
+                        ++stats.rasBlastViolations;
+                        fail(i, v.what);
                         break;
+                    }
                     resnap();
                 }
                 break;
@@ -1335,32 +970,9 @@ runChaosSmp(const ChaosConfig &config)
                 ++stats.rasPoisons;
                 const auto before = live();
                 ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(page);
-                if (!mc.ok) {
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value != RasOutcome::HostFatal) {
-                    fail(i, std::string("expected host-fatal, got ") +
-                                toString(mc.value));
-                    break;
-                }
-                rasFatalExpected = true;
-                if (!monitor.rasFatal()) {
-                    fail(i, "host-fatal outcome did not latch rasFatal");
-                    break;
-                }
-                // Degrade, not crash: the registry is intact and every
-                // mutating call is now a typed denial.
-                if (!auditBlast(i, before, 0))
-                    break;
-                const MonitorResult denied =
-                    monitor.switchTo(pick_domain(false));
-                if (denied.ok ||
-                    denied.code != MonitorError::RasFatal) {
-                    fail(i, "mutating call after host degrade was not "
-                            "a typed ras-fatal denial");
-                }
+                result = judge(i, {PoisonClass::Monitor, page, 0, 0,
+                                   before, {}},
+                               monitor.handleMachineCheck(page));
                 break;
               }
               default: {
@@ -1386,26 +998,11 @@ runChaosSmp(const ChaosConfig &config)
                 ++stats.rasPoisons;
                 const auto before = live();
                 ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(page);
-                if (!mc.ok) {
-                    // Leave the domain suspended: the patrol scrubber
-                    // will re-find the poison and finish containment.
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value != RasOutcome::ContainedDomain) {
-                    fail(i, std::string("expected contained-domain, "
-                                        "got ") +
-                                toString(mc.value));
-                    break;
-                }
-                if (monitor.domainExists(victim)) {
-                    ++stats.rasBlastViolations;
-                    fail(i, "suspended poisoned domain survived "
-                            "containment");
-                    break;
-                }
-                auditBlast(i, before, victim);
+                // A failed report leaves the domain suspended: the
+                // patrol scrubber re-finds the poison and finishes.
+                result = judge(i, {PoisonClass::Data, page, victim, 0,
+                                   before, {}},
+                               monitor.handleMachineCheck(page));
                 break;
               }
             }
@@ -1424,7 +1021,7 @@ runChaosSmp(const ChaosConfig &config)
                 ++stats.dmaBusWaits;
                 stats.dmaBusWaitCycles += xfer.busWaitCycles;
             }
-            if (xfer.machineCheck && config.rasLayer) {
+            if (xfer.machineCheck && rasLayer) {
                 // A beat consumed poison: the engine failed closed;
                 // route the machine check to the monitor like the
                 // platform firmware would.
@@ -1437,7 +1034,7 @@ runChaosSmp(const ChaosConfig &config)
             }
             if (rng.chance(0.25))
                 iopmp.flushCaches();
-        } else if (config.osLayer) {
+        } else if (osLayer) {
             // satp rewrite: the remote-fence path that is not a
             // monitor call (satellite of the shootdown protocol).
             op_name = "os.satp";
@@ -1445,7 +1042,7 @@ runChaosSmp(const ChaosConfig &config)
             smp.hart(initiator).setSatp(
                 spaces[initiator]->rootPa(),
                 kernels[initiator]->config().pagingMode);
-        } else if (config.virtLayer) {
+        } else if (virtLayer) {
             // vsatp rewrite with an unchanged root: the guest twin of
             // os.satp — drives the hfence shootdown outside any
             // monitor call.
@@ -1459,8 +1056,9 @@ runChaosSmp(const ChaosConfig &config)
         }
         injector.clearPlans(); // disarm anything that did not fire
 
-        // ---- audit the outcome --------------------------------------
+        // ---- audit the outcome with the check battery ---------------
         ++stats.ops;
+        Verdict v;
         if (result.ok) {
             ++stats.okOps;
             if (result.degraded)
@@ -1475,68 +1073,27 @@ runChaosSmp(const ChaosConfig &config)
             }
             if (digest_checked) {
                 ++stats.rollbackChecks;
-                bool mismatched = false;
-                for (unsigned h = 0; h < config.harts && !mismatched;
-                     ++h) {
-                    const uint64_t post =
-                        monitor.hartStateDigest(h, config.fullDigest);
-                    if (post != pre[h]) {
-                        fail(i, std::string("hart ") +
-                                    std::to_string(h) +
-                                    " state changed across a failed "
-                                    "call (" +
-                                    toString(result.code) + ": " +
-                                    result.error + ")");
-                        mismatched = true;
-                    }
-                }
-                if (mismatched)
-                    break;
+                v = battery.rollback();
+                v.what += std::string(" (") + toString(result.code) + ": " +
+                          result.error + ")";
             }
         }
-
-        // Convergence: outside a shootdown window every hart's view —
-        // its own register file over the shared tables — must be
-        // identical, success or rollback.
-        if (i % 4 == 0) {
+        if (!v && i % 4 == 0) {
             ++stats.convergenceChecks;
-            // include_virt=false: per-hart guests legitimately run
-            // their own tables — only the host view must converge.
-            // include_csr_counter=false: coalesced windows fence
-            // siblings with one net diff, so write counters diverge
-            // legitimately; register *contents* must still agree.
-            const uint64_t d0 = monitor.hartStateDigest(
-                0, config.fullDigest, false, false);
-            for (unsigned h = 1; h < config.harts; ++h) {
-                if (monitor.hartStateDigest(h, config.fullDigest, false,
-                                            false) != d0) {
-                    fail(i, std::string("hart ") + std::to_string(h) +
-                                " diverged from hart 0 outside a "
-                                "shootdown window");
-                    break;
-                }
-            }
-            if (stats.failed)
-                break;
+            v = battery.convergence();
         }
-
-        // The stale checker may have tripped mid-window; either way a
-        // quiescent sweep must be clean after every op.
-        if (!checker.failed())
-            checker.checkQuiescent();
-        if (checker.failed()) {
-            fail(i, checker.failure());
-            break;
+        if (!v)
+            v = battery.stale();
+        if (!v)
+            v = battery.nestedCall();
+        if (!v)
+            v = battery.windowsClosed();
+        if (!v) {
+            ++stats.invariantChecks;
+            v = battery.invariants();
         }
-        if (hook.failed()) {
-            fail(i, hook.failure());
-            break;
-        }
-
-        ++stats.invariantChecks;
-        const std::string violation = checkIsolationInvariants(monitor);
-        if (!violation.empty()) {
-            fail(i, "invariant violated: " + violation);
+        if (v) {
+            fail(i, v.kind + ": " + v.what);
             break;
         }
 
@@ -1545,23 +1102,18 @@ runChaosSmp(const ChaosConfig &config)
         // suspended victims) is found and contained within a lap. Runs
         // after the audits: its containments belong to the *next* op's
         // oracle snapshot.
-        if (config.rasLayer && !stats.failed) {
+        if (rasLayer && !stats.failed) {
             op_name = "ras.patrol";
             if (const auto hit = scrub->step()) {
                 const auto before = live();
-                DomainId owner = 0;
-                for (DomainId id : before) {
-                    for (const Gms &gms : monitor.gmsOf(id)) {
-                        if (gms.base <= *hit &&
-                            *hit < gms.base + gms.size) {
-                            owner = id;
-                        }
-                    }
-                }
+                const DomainId owner = ownerOf(*hit).value_or(0);
                 ++stats.rasReports;
                 const auto mc = monitor.handleMachineCheck(*hit);
                 if (mc.ok) {
-                    auditBlast(i, before, owner);
+                    if (const Verdict bv = battery.blast(before, owner)) {
+                        ++stats.rasBlastViolations;
+                        fail(i, bv.what);
+                    }
                 } else if (mc.code != MonitorError::RasFatal) {
                     fail(i, "patrol report failed: " + mc.error);
                 }
@@ -1580,9 +1132,9 @@ runChaosSmp(const ChaosConfig &config)
     stats.staleProbes = checker.probesRun();
     stats.preAckStaleHits = checker.preAckStaleHits();
     stats.postAckViolations = checker.postAckViolations();
-    if (config.fleetLayer)
+    if (fleetLayer)
         stats.coalescedWindows = monitor.stats().get("coalesced_windows");
-    if (config.virtLayer) {
+    if (virtLayer) {
         // Monitor-call fences and direct vsatp/hgatp fences both count.
         stats.hfenceShootdowns = monitor.stats().get("hfence_shootdowns") +
                                  smp.stats().get("hfence_shootdowns");
@@ -1591,7 +1143,7 @@ runChaosSmp(const ChaosConfig &config)
         stats.staleExecGrants = checker.staleExecGrants();
         stats.staleRwGrants = checker.staleRwGrants();
     }
-    if (config.rasLayer) {
+    if (rasLayer) {
         stats.rasQuarantines = monitor.stats().get("ras.quarantines");
         stats.rasContained =
             monitor.stats().get("ras.contained_domains");
@@ -1602,12 +1154,12 @@ runChaosSmp(const ChaosConfig &config)
         // A whole-host degrade is only legal when the campaign planted
         // monitor-region poison (or a rebuild ran out of frames) —
         // anything else means containment escalated past its class.
-        if (monitor.rasFatal() && !rasFatalExpected && !stats.failed) {
+        const Verdict fatal = battery.unexpectedFatal();
+        if (fatal && !stats.failed) {
             ++stats.rasBlastViolations;
             stats.failed = true;
-            stats.failure =
-                "seed " + std::to_string(config.seed) +
-                ": host degraded without a monitor-region poison event";
+            stats.failure = "seed " + std::to_string(config.seed) + ": " +
+                            fatal.what;
         }
     }
 
@@ -1617,22 +1169,10 @@ runChaosSmp(const ChaosConfig &config)
     }
     if (config.statsJsonOut) {
         StatRegistry registry;
-        monitor.registerStats(registry);
-        smp.registerStats(registry);
-        checker.registerStats(registry);
-        iopmp.registerStats(registry);
-        if (scrub)
-            scrub->registerStats(registry);
-        for (unsigned h = 0; h < unsigned(kernels.size()); ++h) {
-            kernels[h]->registerStats(
-                registry, h == 0 ? "os"
-                                 : "hart" + std::to_string(h) + ".os");
-        }
+        register_all(registry);
         *config.statsJsonOut = registry.dumpJson();
     }
     return stats;
 }
-
-} // namespace
 
 } // namespace hpmp

@@ -4,21 +4,21 @@
  *
  * Drives thousands of random monitor calls — create/destroy domains,
  * register/remove/relabel/share GMSs, hot-region hints, domain
- * switches, attestation — through a monitor with fault injection
- * armed, and checks after every single operation that
- *
- *  - the isolation invariants hold (monitor/invariants.h), and
- *  - every failed call (validation failure or injected fault) left
- *    the monitor + HPMP + PMP-table state bit-identical
- *    (SecureMonitor::stateDigest), and
- *  - every success that degraded (Hpmp fast-GMS demotion) says so.
+ * switches, attestation — from random harts of an SmpSystem with fault
+ * injection armed, plus the traffic of one optional layer (ChaosLayer),
+ * and judges every operation with the check battery shared with the
+ * model checker (verify/check_battery.h): isolation invariants,
+ * digest-exact per-hart rollback of failed calls, all-hart convergence,
+ * the stale-translation checker, nested-call lock probes and window
+ * closure, plus the layer's own audit (RAS containment, migration
+ * outcome).
  *
  * Everything is derived from one 64-bit seed, so any failure the CI
  * chaos job finds is replayed exactly with `chaos_fuzz --seed N`.
  */
 
-#ifndef HPMP_MONITOR_CHAOS_ENGINE_H
-#define HPMP_MONITOR_CHAOS_ENGINE_H
+#ifndef HPMP_VERIFY_CHAOS_ENGINE_H
+#define HPMP_VERIFY_CHAOS_ENGINE_H
 
 #include <cstdint>
 #include <string>
@@ -28,6 +28,61 @@
 namespace hpmp
 {
 
+/**
+ * The subsystem a campaign drives beside the monitor calls. Every
+ * layer runs the multi-hart engine (harts == 1 included); Os, Virt and
+ * Fleet need at least two harts.
+ */
+enum class ChaosLayer : uint8_t
+{
+    /** Monitor calls from random harts, IPI shootdowns with faults in
+     *  delivery/ack, DMA transfers behind a two-master IOPMP. */
+    Core,
+    /**
+     * A per-hart kernel (own domain, contiguous PT pool) with an
+     * address space per hart and random mmap/munmap/touch/demand-fault
+     * traffic. Exercises the os.page_alloc / os.pt_pool_miss fault
+     * sites under the same injection plans as the monitor calls.
+     */
+    Os,
+    /**
+     * A VirtMachine guest on every hart. Guests run their own GPT/NPT
+     * pairs, switch hgatp between nested tables, remap GPT/NPT leaves,
+     * and route every vsatp/hgatp write through the hfence shootdown;
+     * the stale checker's two-stage oracle audits each protocol step.
+     */
+    Virt,
+    /**
+     * Fleet serving: coalesced epochs (several domain switches from
+     * rotating harts batched into one shootdown window), tenant churn
+     * with retired-id tracking, stale-handle probes (every retired
+     * DomainId must stay a typed denial after its slot is recycled),
+     * and same-domain re-switches exercising the empty-diff shootdown
+     * elision.
+     */
+    Fleet,
+    /**
+     * Memory poison across the blast-radius classes — a victim
+     * enclave's data pages, pmpte frames of a live PMP Table, free
+     * frames, and (rarely, late in the campaign) the monitor-private
+     * region — detected through real consumers (bare accesses, DMA
+     * beats, a background patrol scrubber) and routed into
+     * SecureMonitor::handleMachineCheck, with the containment audit of
+     * the check battery after every report.
+     */
+    Ras,
+    /**
+     * Two hosts — two SmpSystems with their own monitors — ping-pong
+     * domains through the live-migration engine (src/migrate/) while
+     * faults hit the protocol's named sites (torn checkpoints,
+     * dropped/duplicated/corrupted frames, lost acks, destination
+     * attest failures, crashes during commit). Every migration is
+     * judged by the migration outcome audit of the check battery, and
+     * the cross-system oracle must see no dual-grant window.
+     */
+    Migrate,
+};
+
 /** One fuzz campaign's parameters. */
 struct ChaosConfig
 {
@@ -36,83 +91,9 @@ struct ChaosConfig
     IsolationScheme scheme = IsolationScheme::Hpmp;
     /** Probability that an op runs with a fault armed at a random site. */
     double faultProb = 0.25;
-    /**
-     * Hash the full PMP-table contents in the rollback oracle (the
-     * strongest check). Disable only if a campaign is too slow under
-     * sanitizers; metadata and entry-write counters are always hashed.
-     */
-    bool fullDigest = true;
-    /**
-     * Harts in the system. 1 (the default) runs the classic
-     * single-machine campaign, byte-for-byte identical to before the
-     * SMP model existed. >1 runs the multi-hart campaign: monitor
-     * calls from random harts, IPI shootdowns with fault injection in
-     * delivery/ack, a stale-translation checker interleaved into every
-     * protocol step, nested-call lock-contention probes, and per-hart
-     * rollback digests.
-     */
+    /** Harts in the system (per host, for Migrate). */
     unsigned harts = 1;
-    /**
-     * Multi-hart only: drive an OS layer too — a per-hart kernel
-     * (own domain, contiguous PT pool) with an address space per
-     * hart, random mmap/munmap/touch/demand-fault traffic, and DMA
-     * transfers checked by a two-master IOPMP. Exercises the
-     * os.page_alloc / os.pt_pool_miss fault sites under the same
-     * injection plans as the monitor calls.
-     */
-    bool osLayer = false;
-    /**
-     * Multi-hart only (and mutually exclusive with osLayer, whose
-     * kernels page the host harts): attach a VirtMachine guest to
-     * every hart. Guests run their own GPT/NPT pairs, switch hgatp
-     * between nested tables, remap GPT/NPT leaves, and route every
-     * vsatp/hgatp write through the hfence shootdown; the stale
-     * checker's two-stage oracle audits each protocol step.
-     */
-    bool virtLayer = false;
-    /**
-     * Multi-hart only (mutually exclusive with osLayer and virtLayer):
-     * fleet-serving chaos. Adds coalesced epochs (several domain
-     * switches from rotating harts batched into one shootdown window),
-     * tenant churn with retired-id tracking, stale-handle probes
-     * (every retired DomainId must stay a typed denial after its slot
-     * is recycled), and same-domain re-switches exercising the
-     * empty-diff shootdown elision — all under the same fault plans
-     * and stale-translation checker as the base campaign.
-     */
-    bool fleetLayer = false;
-    /**
-     * RAS chaos (mutually exclusive with osLayer/virtLayer/fleetLayer):
-     * plant memory poison across the three blast-radius classes — a
-     * victim enclave's data pages, pmpte frames of a live PMP Table,
-     * free/host frames, and (rarely, late in the campaign) the
-     * monitor-private region — then detect it through real consumers
-     * (bare accesses, DMA beats, a background patrol scrubber) and
-     * route every machine check into
-     * SecureMonitor::handleMachineCheck. After every containment the
-     * campaign audits the blast-radius contract: only the owning
-     * domain dies, self-heals leave the measurement bit-identical and
-     * the domain grantable, free-frame poison touches nobody, and
-     * monitor poison degrades exactly the whole host (every mutating
-     * call a typed RasFatal denial, reads still up). Runs the SMP
-     * campaign even with harts == 1.
-     */
-    bool rasLayer = false;
-    /**
-     * Migration chaos (mutually exclusive with every other layer):
-     * run *two* hosts — two SmpSystems with their own monitors — and
-     * ping-pong domains between them through the live-migration
-     * engine (src/migrate/) while faults hit the protocol's named
-     * sites (torn checkpoints, dropped/duplicated/corrupted frames,
-     * lost acks, destination attest failures, crashes during
-     * commit). After every migration the campaign audits: aborts
-     * leave the source digest bit-identical and the domain grantable
-     * again; commits leave the domain on exactly one host with its
-     * memory intact; the cross-system oracle saw no dual-grant
-     * window. Implemented by runMigrateChaos (migrate/migrate_chaos.h)
-     * — the chaos_fuzz tool dispatches on this flag.
-     */
-    bool migrateLayer = false;
+    ChaosLayer layer = ChaosLayer::Core;
     /**
      * When set, receives the campaign's full stats-registry JSON
      * (monitor + machine observability counters) captured just before
@@ -144,7 +125,7 @@ struct ChaosStats
     unsigned rollbackChecks = 0; //!< digest-verified rollbacks
     unsigned invariantChecks = 0;
 
-    // Multi-hart campaigns only (zero in single-hart runs):
+    // Shootdown and OS-layer coverage (Core/Os/Virt/Fleet/Ras):
     unsigned harts = 1;            //!< harts the campaign ran with
     uint64_t ipiShootdowns = 0;    //!< layout changes that IPI'd siblings
     uint64_t ipiLost = 0;          //!< injected IPI losses (failed closed)
@@ -203,11 +184,11 @@ struct ChaosStats
 };
 
 /**
- * Run one campaign. Deterministic in config.seed (and, for multi-hart
- * configs, config.harts — the interleaving derives from both).
+ * Run one campaign of any layer. Deterministic in (config.seed,
+ * config.harts): the interleaving derives from both.
  */
 ChaosStats runChaos(const ChaosConfig &config);
 
 } // namespace hpmp
 
-#endif // HPMP_MONITOR_CHAOS_ENGINE_H
+#endif // HPMP_VERIFY_CHAOS_ENGINE_H

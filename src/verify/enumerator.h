@@ -43,7 +43,8 @@ struct CheckStats
 {
     uint64_t paths = 0;          //!< complete runs executed
     uint64_t states = 0;         //!< distinct canonical states seen
-    uint64_t transitions = 0;    //!< script ops executed past prefixes
+    uint64_t transitions = 0;    //!< ops (core) or decisions (migrate,
+                                 //!< ras) executed past prefixes
     uint64_t violations = 0;     //!< violating paths found
     uint64_t truncatedPaths = 0; //!< paths cut by the depth bound
     uint64_t dedupStops = 0;     //!< runs stopped on a visited state

@@ -13,9 +13,9 @@
 #include "core/params.h"
 #include "core/smp.h"
 #include "migrate/migration.h"
-#include "monitor/invariants.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
+#include "verify/check_battery.h"
 
 namespace hpmp::verify
 {
@@ -118,87 +118,107 @@ struct PathController
     }
 };
 
-/** RAII: the injector is process-global; never leak a controller. */
-struct InjectorGuard
-{
-    ~InjectorGuard() { FaultInjector::instance().disable(); }
-};
-
 const std::vector<unsigned> kBinaryAlts{0, 1};
 
-// ---- interleave hook: stale checker + nested-call injection -------
+// ---- one setup for every scenario ---------------------------------
 
-class VerifyHook : public InterleaveHook
+/**
+ * One model host: bare harts with the PMPTW cache off, so a hart's
+ * complete modelled state is its HPMP register file (see the header
+ * comment — the dedup-soundness requirement, not an optimization).
+ * Built with the injector disabled: setup is outside the decision
+ * space.
+ */
+struct ModelHost
 {
-  public:
-    VerifyHook(SmpSystem &smp, SecureMonitor &monitor,
-               StaleChecker &checker, PathController &ctl)
-        : smp_(smp), monitor_(monitor), checker_(checker), ctl_(ctl)
-    {
-    }
+    SmpSystem smp;
+    SecureMonitor monitor;
 
-    void
-    onIpiStep(const IpiEvent &event) override
+    ModelHost(IsolationScheme scheme, unsigned harts)
+        : smp(bareParams(), SmpParams{harts}),
+          monitor(smp, configFor(scheme))
     {
-        checker_.onIpiStep(event);
-        switch (event.phase) {
-          case IpiPhase::WindowBegin:
-            ++openWindows_;
-            break;
-          case IpiPhase::WindowEnd:
-            --openWindows_;
-            break;
-          case IpiPhase::Posted:
-          case IpiPhase::Delivered:
-            maybeInject(event);
-            break;
-          default:
-            break;
+        for (unsigned h = 0; h < harts; ++h) {
+            smp.hart(h).setPriv(PrivMode::Supervisor);
+            smp.hart(h).setBare();
         }
+        FaultInjector::instance().disable();
     }
 
-    int openWindows() const { return openWindows_; }
-    const std::string &violation() const { return violation_; }
-
-  private:
-    /**
-     * Decision point: drive a nested monitor call from the victim
-     * hart mid-window. The global lock is held by the initiator, so
-     * the nested call must bounce with LockContended before touching
-     * any state — anything else is a violation.
-     */
-    void
-    maybeInject(const IpiEvent &event)
+    static MachineParams
+    bareParams()
     {
-        if (ctl_.injectsDone >= ctl_.injectBudget)
-            return;
-        if (event.dstHart == event.srcHart)
-            return;
-        const std::string label = std::string(toString(event.phase)) +
-                                  "@h" + std::to_string(event.dstHart);
-        if (ctl_.choose(DecisionKind::Inject, kBinaryAlts, label) != 1)
-            return;
-        ++ctl_.injectsDone;
-        const unsigned saved = smp_.currentHart();
-        smp_.setCurrentHart(event.dstHart);
-        const MonitorResult r = monitor_.switchTo(monitor_.currentDomain());
-        smp_.setCurrentHart(saved);
-        if (r.ok || r.code != MonitorError::LockContended) {
-            violation_ = "nested switchTo from hart " +
-                         std::to_string(event.dstHart) + " at " +
-                         toString(event.phase) +
-                         " did not bounce LockContended (got " +
-                         std::string(r.ok ? "ok" : toString(r.code)) +
-                         ")";
-        }
+        MachineParams mp = rocketParams();
+        mp.pmptwEntries = 0;
+        return mp;
     }
 
-    SmpSystem &smp_;
-    SecureMonitor &monitor_;
-    StaleChecker &checker_;
-    PathController &ctl_;
-    int openWindows_ = 0;
-    std::string violation_;
+    static MonitorConfig
+    configFor(IsolationScheme scheme)
+    {
+        MonitorConfig mc;
+        mc.scheme = scheme;
+        return mc;
+    }
+};
+
+/**
+ * The decision taps of one path: the controller replaying `forced`,
+ * and the injector's fault-decision controller branching every hit of
+ * the config's branchable sites while the fault budget lasts. The
+ * injector is process-global, so the destructor disables it.
+ */
+struct PathTaps
+{
+    PathController ctl;
+    std::set<std::string> branchSites;
+    bool faultFiredThisOp = false;
+
+    PathTaps(const ModelConfig &cfg, const std::vector<Decision> *forced,
+             unsigned injectBudget)
+    {
+        ctl.forced = forced;
+        ctl.depthLimit = cfg.depthLimit;
+        ctl.faultBudget = cfg.faultBranch ? cfg.maxFaults : 0;
+        ctl.injectBudget = injectBudget;
+        for (const std::string &site : cfg.effectiveSites())
+            branchSites.insert(site);
+        FaultInjector &inj = FaultInjector::instance();
+        inj.enable(1);
+        inj.setDecisionController([this](const char *site) {
+            if (ctl.faultsFired >= ctl.faultBudget ||
+                branchSites.find(site) == branchSites.end() ||
+                ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1) {
+                return false;
+            }
+            ++ctl.faultsFired;
+            faultFiredThisOp = true;
+            return true;
+        });
+    }
+    ~PathTaps() { FaultInjector::instance().disable(); }
+    PathTaps(const PathTaps &) = delete;
+    PathTaps &operator=(const PathTaps &) = delete;
+
+    /** New transitions: the decisions made past the forced prefix. */
+    uint64_t
+    newDecisions() const
+    {
+        return ctl.pastPrefix()
+                   ? ctl.made.size() -
+                         (ctl.forced ? ctl.forced->size() : 0)
+                   : 0;
+    }
+
+    /** Hand the recorded path over to `out`. */
+    void
+    finish(RunOutcome &out)
+    {
+        out.decisions = std::move(ctl.made);
+        out.truncated = ctl.truncated;
+        out.divergence = ctl.divergence;
+        out.divergenceWhy = ctl.divergenceWhy;
+    }
 };
 
 // ---- the monitor-call script --------------------------------------
@@ -484,6 +504,9 @@ ModelConfig::applyConfigLine(const std::string &line, std::string &error)
     return false;
 }
 
+namespace
+{
+
 RunOutcome
 runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
             StateSet *visited)
@@ -492,26 +515,11 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     panic_if(cfg.domains < 1, "core scenario wants >= 1 domain");
     RunOutcome out;
 
-    // Bare harts, PMPTW cache off: the per-hart digest captures the
-    // complete modelled hart state (see the header comment — this is
-    // the dedup-soundness requirement, not an optimization).
-    MachineParams mp = rocketParams();
-    mp.pmptwEntries = 0;
-    SmpParams sp;
-    sp.harts = cfg.harts;
-    sp.schedSeed = 1;
-    SmpSystem smp(mp, sp);
-    MonitorConfig mc;
-    mc.scheme = cfg.scheme;
-    SecureMonitor monitor(smp, mc);
-    for (unsigned h = 0; h < cfg.harts; ++h) {
-        smp.hart(h).setPriv(PrivMode::Supervisor);
-        smp.hart(h).setBare();
-    }
+    ModelHost host(cfg.scheme, cfg.harts);
+    SmpSystem &smp = host.smp;
+    SecureMonitor &monitor = host.monitor;
 
     // ---- deterministic setup, outside the decision space ----------
-    FaultInjector &inj = FaultInjector::instance();
-    inj.disable();
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     std::vector<DomainId> dom(cfg.domains + 1, 0);
     for (unsigned i = 1; i <= cfg.domains; ++i) {
@@ -538,32 +546,25 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         }
     }
 
-    PathController ctl;
-    ctl.forced = forced;
-    ctl.depthLimit = cfg.depthLimit;
-    ctl.faultBudget = cfg.faultBranch ? cfg.maxFaults : 0;
-    ctl.injectBudget = cfg.maxInjects;
+    PathTaps taps(cfg, forced, cfg.maxInjects);
+    PathController &ctl = taps.ctl;
 
-    VerifyHook hook(smp, monitor, checker, ctl);
-    smp.setInterleaveHook(&hook);
-
-    const std::vector<std::string> siteList = cfg.effectiveSites();
-    const std::set<std::string> branchSites(siteList.begin(),
-                                            siteList.end());
-    InjectorGuard injectorGuard;
-    bool faultFiredThisOp = false;
-    inj.enable(1);
-    inj.setDecisionController([&](const char *site) {
-        if (ctl.faultsFired >= ctl.faultBudget)
+    // Inject decision: drive a nested call from the victim hart at
+    // this Posted/Delivered step.
+    ProbeHook hook(smp, monitor, checker, [&](const IpiEvent &event) {
+        if (ctl.injectsDone >= ctl.injectBudget ||
+            event.dstHart == event.srcHart) {
             return false;
-        if (branchSites.find(site) == branchSites.end())
+        }
+        const std::string label = std::string(toString(event.phase)) +
+                                  "@h" + std::to_string(event.dstHart);
+        if (ctl.choose(DecisionKind::Inject, kBinaryAlts, label) != 1)
             return false;
-        if (ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1)
-            return false;
-        ++ctl.faultsFired;
-        faultFiredThisOp = true;
+        ++ctl.injectsDone;
         return true;
     });
+    smp.setInterleaveHook(&hook);
+    CheckBattery battery(monitor, &checker, &hook);
 
     // ---- the interleaved script, driven through pickHart ----------
     const auto script = buildCoreScript(cfg);
@@ -575,10 +576,9 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     });
 
     auto stateKey = [&]() {
-        uint64_t key = monitor.stateDigest(true);
+        uint64_t key = monitor.stateDigest();
         for (unsigned h = 0; h < cfg.harts; ++h)
-            key = fnvFold(key, monitor.hartStateDigest(h, true, false,
-                                                       true));
+            key = fnvFold(key, monitor.hartStateDigest(h, false));
         for (size_t p : pc)
             key = fnvFold(key, p);
         key = fnvFold(key, ctl.faultsFired);
@@ -587,7 +587,6 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     };
 
     unsigned opIndex = 0;
-    std::vector<uint64_t> preDigests(cfg.harts);
     auto violate = [&](const std::string &kind,
                        const std::string &desc) {
         out.violated = true;
@@ -624,14 +623,11 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         ++opIndex;
         ++out.opsExecuted;
         smp.setCurrentHart(hart);
-        faultFiredThisOp = false;
+        taps.faultFiredThisOp = false;
 
         const bool monitorOp = op.kind != OpKind::Access;
-        if (monitorOp) {
-            for (unsigned h = 0; h < cfg.harts; ++h)
-                preDigests[h] =
-                    monitor.hartStateDigest(h, true, false, true);
-        }
+        if (monitorOp)
+            battery.snapshot();
 
         MonitorResult r;
         switch (op.kind) {
@@ -667,66 +663,28 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
                                   op.name + " (op #" +
                                   std::to_string(opIndex) + ")";
 
-        // ---- per-state checks -------------------------------------
-        if (!hook.violation().empty()) {
-            violate("nested_call", hook.violation() + " during " + where);
-            break;
+        // ---- the check battery, at every state ---------------------
+        Verdict v = battery.nestedCall();
+        if (!v)
+            v = battery.windowsClosed();
+        if (!v && monitorOp && !r.ok) {
+            v = battery.rollback();
+            v.what += std::string(" (") + toString(r.code) + ")";
         }
-        if (hook.openWindows() != 0) {
-            violate("unclosed_window",
-                    "shootdown window still open after " + where);
-            break;
-        }
-        if (monitorOp && !r.ok) {
-            for (unsigned h = 0; h < cfg.harts; ++h) {
-                const uint64_t now =
-                    monitor.hartStateDigest(h, true, false, true);
-                if (now != preDigests[h]) {
-                    violate("rollback_divergence",
-                            "failed call (" + std::string(toString(r.code)) +
-                                ") left hart " + std::to_string(h) +
-                                " digest changed after " + where);
-                    break;
-                }
+        if (!v && monitorOp && r.ok) {
+            if (taps.faultFiredThisOp) {
+                v = {"fault_swallowed", "an injected fault fired but the "
+                                        "call committed ok"};
+            } else {
+                v = battery.convergence();
             }
-            if (out.violated)
-                break;
         }
-        if (monitorOp && r.ok) {
-            if (faultFiredThisOp) {
-                violate("fault_swallowed",
-                        "an injected fault fired but the call "
-                        "committed ok after " +
-                            where);
-                break;
-            }
-            const uint64_t ref =
-                monitor.hartStateDigest(0, true, false, false);
-            for (unsigned h = 1; h < cfg.harts; ++h) {
-                if (monitor.hartStateDigest(h, true, false, false) !=
-                    ref) {
-                    violate("convergence_divergence",
-                            "hart " + std::to_string(h) +
-                                " digest disagrees with hart 0 after "
-                                "committed " +
-                                where);
-                    break;
-                }
-            }
-            if (out.violated)
-                break;
-        }
-        if (checker.failed()) {
-            violate("stale_checker", checker.failure());
-            break;
-        }
-        if (!checker.checkQuiescent()) {
-            violate("stale_checker", checker.failure());
-            break;
-        }
-        const std::string inv = checkIsolationInvariants(monitor);
-        if (!inv.empty()) {
-            violate("invariant", inv + " after " + where);
+        if (!v)
+            v = battery.stale();
+        if (!v)
+            v = battery.invariants();
+        if (v) {
+            violate(v.kind, v.what + " after " + where);
             break;
         }
 
@@ -741,10 +699,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         }
     }
 
-    out.decisions = std::move(ctl.made);
-    out.truncated = ctl.truncated;
-    out.divergence = ctl.divergence;
-    out.divergenceWhy = ctl.divergenceWhy;
+    taps.finish(out);
     if (!out.violated)
         out.finalDigest = stateKey();
     smp.setInterleaveHook(nullptr);
@@ -757,22 +712,9 @@ runMigratePath(const ModelConfig &cfg,
                const std::vector<Decision> *forced)
 {
     RunOutcome out;
-
-    MachineParams mp = rocketParams();
-    mp.pmptwEntries = 0;
-    SmpParams sp;
-    sp.harts = 1;
-    SmpSystem srcSys(mp, sp), dstSys(mp, sp);
-    MonitorConfig mc;
-    mc.scheme = cfg.scheme;
-    SecureMonitor src(srcSys, mc), dst(dstSys, mc);
-    for (SmpSystem *sys : {&srcSys, &dstSys}) {
-        sys->hart(0).setPriv(PrivMode::Supervisor);
-        sys->hart(0).setBare();
-    }
-
-    FaultInjector &inj = FaultInjector::instance();
-    inj.disable();
+    ModelHost srcHost(cfg.scheme, 1), dstHost(cfg.scheme, 1);
+    SecureMonitor &src = srcHost.monitor;
+    SecureMonitor &dst = dstHost.monitor;
 
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     const DomainId d = src.createDomain();
@@ -781,7 +723,7 @@ runMigratePath(const ModelConfig &cfg,
     panic_if(!r.ok, "migrate setup addGms failed: %s", r.error.c_str());
     // A recognizable memory image so checkpoint verification bites.
     for (Addr a = regionOf(1); a < regionOf(1) + gmsBytes; a += 512)
-        srcSys.mem().write64(a, a ^ 0x5a5a5a5a5a5a5a5aULL);
+        srcHost.smp.mem().write64(a, a ^ 0x5a5a5a5a5a5a5a5aULL);
 
     CrossSystemOracle oracle(src, dst);
     MigrateConfig mcfg;
@@ -791,88 +733,27 @@ runMigratePath(const ModelConfig &cfg,
     MigrationEngine engine(src, dst, mcfg, "migrate_verify");
     engine.setOracle(&oracle);
 
-    PathController ctl;
-    ctl.forced = forced;
-    ctl.depthLimit = cfg.depthLimit;
-    ctl.faultBudget = cfg.faultBranch ? cfg.maxFaults : 0;
-    ctl.injectBudget = 0;
-
-    const std::vector<std::string> siteList = cfg.effectiveSites();
-    const std::set<std::string> branchSites(siteList.begin(),
-                                            siteList.end());
-    InjectorGuard injectorGuard;
-    inj.enable(1);
-    inj.setDecisionController([&](const char *site) {
-        if (ctl.faultsFired >= ctl.faultBudget)
-            return false;
-        if (branchSites.find(site) == branchSites.end())
-            return false;
-        if (ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1)
-            return false;
-        ++ctl.faultsFired;
-        return true;
-    });
-
+    PathTaps taps(cfg, forced, 0);
     const MigrateResult res = engine.migrate(d, /*nonce=*/1);
     ++out.opsExecuted;
 
-    auto violate = [&](const std::string &kind,
-                       const std::string &desc) {
+    Verdict v;
+    if (oracle.failed())
+        v = {"dual_grant", oracle.failure()};
+    else
+        v = auditMigration(res, src, d, dst);
+
+    out.newTransitions = taps.newDecisions();
+    const unsigned faultsFired = taps.ctl.faultsFired;
+    taps.finish(out);
+    out.finalDigest = fnvFold(
+        fnvFold(src.stateDigest(), dst.stateDigest()), faultsFired);
+    if (v) {
         out.violated = true;
-        out.violation.kind = kind;
-        out.violation.description = desc;
-        out.violation.opIndex = 0;
-        uint64_t key = fnvFold(src.stateDigest(true),
-                               dst.stateDigest(true));
-        key = fnvFold(key, ctl.faultsFired);
-        out.violation.stateDigest = key;
-    };
-
-    if (oracle.failed()) {
-        violate("dual_grant", oracle.failure());
-    } else if (res.ok) {
-        if (src.domainGrantable(d)) {
-            violate("commit_state",
-                    "committed migration left the source granting");
-        } else if (!dst.domainGrantable(res.destId)) {
-            violate("commit_state",
-                    "committed migration left the destination not "
-                    "granting");
-        }
-    } else if (res.committed || res.stranded) {
-        if (src.domainGrantable(d) ||
-            (res.destId != 0 && dst.domainGrantable(res.destId))) {
-            violate("stranded_grant",
-                    "stranded migration has a live grant (phase " +
-                        std::string(toString(res.failedPhase)) + ")");
-        }
-    } else {
-        if (res.sourcePostDigest != res.sourcePreDigest) {
-            violate("abort_digest",
-                    "aborted migration (phase " +
-                        std::string(toString(res.failedPhase)) +
-                        ") did not restore the source digest");
-        } else if (!src.domainGrantable(d)) {
-            violate("abort_grantable",
-                    "aborted migration left the domain not grantable "
-                    "on the source (phase " +
-                        std::string(toString(res.failedPhase)) + ")");
-        }
-    }
-
-    out.decisions = std::move(ctl.made);
-    out.truncated = ctl.truncated;
-    out.divergence = ctl.divergence;
-    out.divergenceWhy = ctl.divergenceWhy;
-    out.newTransitions = ctl.pastPrefix()
-                             ? out.decisions.size() -
-                                   (forced ? forced->size() : 0)
-                             : 0;
-    uint64_t key =
-        fnvFold(src.stateDigest(true), dst.stateDigest(true));
-    out.finalDigest = fnvFold(key, ctl.faultsFired);
-    if (out.violated)
+        out.violation.kind = v.kind;
+        out.violation.description = v.what;
         out.violation.stateDigest = out.finalDigest;
+    }
     return out;
 }
 
@@ -882,22 +763,10 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
     panic_if(cfg.domains < 1, "ras scenario wants >= 1 domain");
     RunOutcome out;
 
-    MachineParams mp = rocketParams();
-    mp.pmptwEntries = 0;
-    SmpParams sp;
-    sp.harts = cfg.harts > 0 ? cfg.harts : 1;
-    sp.schedSeed = 1;
-    SmpSystem smp(mp, sp);
-    MonitorConfig mc;
-    mc.scheme = cfg.scheme;
-    SecureMonitor monitor(smp, mc);
-    for (unsigned h = 0; h < sp.harts; ++h) {
-        smp.hart(h).setPriv(PrivMode::Supervisor);
-        smp.hart(h).setBare();
-    }
+    ModelHost host(cfg.scheme, cfg.harts > 0 ? cfg.harts : 1);
+    SmpSystem &smp = host.smp;
+    SecureMonitor &monitor = host.monitor;
 
-    FaultInjector &inj = FaultInjector::instance();
-    inj.disable();
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     std::vector<DomainId> dom(cfg.domains + 1, 0);
     for (unsigned i = 1; i <= cfg.domains; ++i) {
@@ -911,30 +780,12 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         panic_if(!r.ok, "ras setup addGms failed: %s", r.error.c_str());
     }
 
-    PathController ctl;
-    ctl.forced = forced;
-    ctl.depthLimit = cfg.depthLimit;
-    ctl.faultBudget = cfg.faultBranch ? cfg.maxFaults : 0;
-    ctl.injectBudget = 0;
-
-    const std::vector<std::string> siteList = cfg.effectiveSites();
-    const std::set<std::string> branchSites(siteList.begin(),
-                                            siteList.end());
-    InjectorGuard injectorGuard;
-    inj.enable(1);
-    inj.setDecisionController([&](const char *site) {
-        if (ctl.faultsFired >= ctl.faultBudget)
-            return false;
-        if (branchSites.find(site) == branchSites.end())
-            return false;
-        if (ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1)
-            return false;
-        ++ctl.faultsFired;
-        return true;
-    });
+    PathTaps taps(cfg, forced, 0);
+    PathController &ctl = taps.ctl;
+    CheckBattery battery(monitor);
 
     auto stateKey = [&]() {
-        uint64_t key = monitor.stateDigest(true);
+        uint64_t key = monitor.stateDigest();
         key = fnvFold(key, monitor.quarantinedPages());
         key = fnvFold(key, monitor.rasFatal() ? 1 : 0);
         key = fnvFold(key, ctl.faultsFired);
@@ -954,7 +805,6 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
 
     // Two poison/report rounds so the post-containment state (healed
     // table, contained victim, degraded host) is itself poked again.
-    bool rasFatalExpected = false;
     for (unsigned round = 0; round < 2 && !out.violated && !ctl.truncated;
          ++round) {
         ++opIndex;
@@ -982,61 +832,61 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         const unsigned cls = ctl.choose(DecisionKind::Inject, classes,
                                         "ras_place" + rtag);
 
+        PoisonReport report;
+        report.cls = PoisonClass(cls);
+        for (unsigned i : live)
+            report.before.push_back(dom[i]);
         Addr target = 0;
-        unsigned victim = 0;
-        Addr oldRoot = 0;
-        MonitorValue<AttestationReport> preAttest;
-        switch (cls) {
-          case 0: {
-            victim = ctl.choose(DecisionKind::Inject, live,
-                                "ras_victim" + rtag);
+        switch (report.cls) {
+          case PoisonClass::Data: {
+            const unsigned victim = ctl.choose(DecisionKind::Inject, live,
+                                               "ras_victim" + rtag);
+            report.victim = dom[victim];
             target = regionOf(victim) + 0x40;
             smp.mem().poisonLine(target);
             // Consume through a real access first when the victim can
             // run: the poisoned line must surface as a MachineCheck
             // naming the line, never as data.
-            if (!monitor.rasFatal()) {
-                const MonitorResult sw = monitor.switchTo(dom[victim]);
-                if (sw.ok) {
-                    const AccessOutcome acc =
-                        smp.hart(0).access(target, AccessType::Load);
-                    if (acc.fault != Fault::MachineCheck) {
-                        violate("machine_check",
-                                "load of a poisoned line returned " +
-                                    std::string(toString(acc.fault)) +
-                                    ", not MachineCheck");
-                    } else if ((acc.poisonAddr & ~Addr(63)) !=
-                               (target & ~Addr(63))) {
-                        violate("machine_check",
-                                "machine check blamed the wrong line");
-                    }
+            if (!monitor.rasFatal() && monitor.switchTo(report.victim).ok) {
+                const AccessOutcome acc =
+                    smp.hart(0).access(target, AccessType::Load);
+                if (acc.fault != Fault::MachineCheck) {
+                    violate("machine_check",
+                            "load of a poisoned line returned " +
+                                std::string(toString(acc.fault)) +
+                                ", not MachineCheck");
+                } else if ((acc.poisonAddr & ~Addr(63)) !=
+                           (target & ~Addr(63))) {
+                    violate("machine_check",
+                            "machine check blamed the wrong line");
                 }
             }
             break;
           }
-          case 1: {
-            victim = ctl.choose(DecisionKind::Inject, tabled,
-                                "ras_victim" + rtag);
-            const std::vector<Addr> &frames =
-                monitor.tablePeek(dom[victim])->tablePages();
+          case PoisonClass::Pmpte: {
+            const unsigned victim = ctl.choose(DecisionKind::Inject, tabled,
+                                               "ras_victim" + rtag);
+            report.victim = dom[victim];
+            const PmpTable *table = monitor.tablePeek(report.victim);
+            const std::vector<Addr> &frames = table->tablePages();
             std::vector<unsigned> frameAlts{0};
             if (frames.size() > 1)
                 frameAlts.push_back(unsigned(frames.size() - 1));
             const unsigned fi = ctl.choose(
                 DecisionKind::Inject, frameAlts, "ras_frame" + rtag);
             target = frames[fi] + 0x80;
-            oldRoot = monitor.tablePeek(dom[victim])->rootPa();
-            preAttest = monitor.attestDomain(dom[victim], 7);
+            report.oldRoot = table->rootPa();
+            report.preReport = monitor.attestDomain(report.victim, 7);
             smp.mem().poisonLine(target);
             break;
           }
-          case 2:
+          case PoisonClass::Free:
             // The same unowned frame every round, so a round-2 repeat
             // exercises cross-round AlreadyQuarantined idempotency.
             target = regionOf(cfg.domains + 1) + 0x200;
             smp.mem().poisonLine(target);
             break;
-          default: {
+          case PoisonClass::Monitor: {
             // Highest non-table, non-quarantined monitor-private page
             // (pmpte frames bump-allocate from the low end).
             Addr page = monitor.config().monitorBase +
@@ -1064,10 +914,10 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         if (out.violated)
             break;
 
-        const Addr targetPage = target & ~Addr(kPageSize - 1);
+        report.page = target & ~Addr(kPageSize - 1);
         const bool fatalBefore = monitor.rasFatal();
-        const bool quarBefore = monitor.pageQuarantined(targetPage);
-        const uint64_t preDigest = monitor.stateDigest(true);
+        const bool quarBefore = monitor.pageQuarantined(report.page);
+        battery.snapshot();
 
         ++out.opsExecuted;
         const MonitorValue<RasOutcome> mcv =
@@ -1076,208 +926,70 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         const std::string where =
             "ras class " + std::to_string(cls) + " (op #" +
             std::to_string(opIndex) + ")";
+        Verdict v;
         if (quarBefore) {
             // Repeat report of a retired frame: an ok no-op always,
             // even after the host degraded.
             if (!mcv.ok || mcv.value != RasOutcome::AlreadyQuarantined) {
-                violate("quarantine",
-                        "repeat report of a retired frame was not an "
-                        "ok no-op after " + where);
-            } else if (monitor.stateDigest(true) != preDigest) {
-                violate("quarantine",
-                        "no-op repeat report changed the digest after " +
-                            where);
+                v = {"quarantine", "repeat report of a retired frame was "
+                                   "not an ok no-op"};
+            } else if (battery.rollback()) {
+                v = {"quarantine", "no-op repeat report changed the digest"};
             }
         } else if (fatalBefore) {
             // New reports after the whole-host degrade: typed RasFatal
             // denial, nothing mutated.
             if (mcv.ok || mcv.code != MonitorError::RasFatal) {
-                violate("ras_fatal",
-                        "report after host degrade was not a typed "
-                        "RasFatal denial after " + where);
-            } else if (monitor.stateDigest(true) != preDigest) {
-                violate("ras_rollback",
-                        "denied report changed the digest after " +
-                            where);
+                v = {"ras_fatal", "report after host degrade was not a "
+                                  "typed RasFatal denial"};
+            } else if (battery.rollback()) {
+                v = {"ras_rollback", "denied report changed the digest"};
             }
         } else if (!mcv.ok) {
             // An injected fault aborted containment: bit-identical
-            // rollback, victim intact, frame not retired.
-            if (monitor.stateDigest(true) != preDigest) {
-                violate("ras_rollback",
-                        "failed containment (" +
-                            std::string(toString(mcv.code)) +
-                            ") left the digest changed after " + where);
-            } else if (monitor.pageQuarantined(targetPage)) {
-                violate("ras_rollback",
-                        "failed containment still retired the frame "
-                        "after " + where);
-            } else if ((cls == 0 || cls == 1) &&
-                       !monitor.domainExists(dom[victim])) {
-                violate("ras_rollback",
-                        "failed containment destroyed the victim "
-                        "anyway after " + where);
-            } else if (cls == 1 &&
-                       monitor.tablePeek(dom[victim])->rootPa() !=
-                           oldRoot) {
-                violate("ras_rollback",
-                        "failed heal re-pointed the table root after " +
-                            where);
-            }
+            // rollback (so the victim is intact, its table root
+            // unmoved and the frame not retired).
+            v = battery.rollback();
+            if (v)
+                v.kind = "ras_rollback";
         } else {
-            switch (cls) {
-              case 0:
-                if (mcv.value != RasOutcome::ContainedDomain) {
-                    violate("blast_radius",
-                            "data-page poison resolved as " +
-                                std::string(toString(mcv.value)) +
-                                " after " + where);
-                } else if (monitor.domainExists(dom[victim])) {
-                    violate("blast_radius",
-                            "victim survived its own containment "
-                            "after " + where);
-                } else if (!monitor.pageQuarantined(targetPage)) {
-                    violate("quarantine",
-                            "contained frame was not retired after " +
-                                where);
-                }
-                break;
-              case 1:
-                if (mcv.value == RasOutcome::HostFatal) {
-                    // Legal escalation: out of fresh table frames.
-                    rasFatalExpected = true;
-                    break;
-                }
-                if (mcv.value != RasOutcome::HealedTable) {
-                    violate("heal",
-                            "pmpte poison resolved as " +
-                                std::string(toString(mcv.value)) +
-                                " after " + where);
-                    break;
-                }
-                if (!monitor.domainExists(dom[victim]) ||
-                    monitor.tablePeek(dom[victim]) == nullptr) {
-                    violate("heal",
-                            "self-heal lost the domain after " + where);
-                } else if (monitor.tablePeek(dom[victim])->rootPa() ==
-                           oldRoot) {
-                    violate("heal",
-                            "healed table still points at the old "
-                            "root after " + where);
-                } else if (!monitor.pageQuarantined(targetPage)) {
-                    violate("quarantine",
-                            "healed frame was not retired after " +
-                                where);
-                } else {
-                    const MonitorValue<AttestationReport> post =
-                        monitor.attestDomain(dom[victim], 7);
-                    if (!preAttest.ok || !post.ok ||
-                        post.value.measurement !=
-                            preAttest.value.measurement) {
-                        violate("heal",
-                                "self-heal changed the measurement "
-                                "after " + where);
-                    } else if (!monitor.attestor().verify(post.value,
-                                                          7)) {
-                        violate("heal",
-                                "post-heal report does not verify "
-                                "after " + where);
-                    }
-                }
-                break;
-              case 2:
-                if (mcv.value != RasOutcome::QuarantinedFree) {
-                    violate("blast_radius",
-                            "free-frame poison resolved as " +
-                                std::string(toString(mcv.value)) +
-                                " after " + where);
-                } else if (!monitor.pageQuarantined(targetPage)) {
-                    violate("quarantine",
-                            "free frame was not retired after " +
-                                where);
-                } else {
-                    // Immediate idempotency probe.
-                    const uint64_t qd = monitor.stateDigest(true);
-                    const MonitorValue<RasOutcome> again =
-                        monitor.handleMachineCheck(target);
-                    if (!again.ok ||
-                        again.value != RasOutcome::AlreadyQuarantined) {
-                        violate("quarantine",
-                                "re-report of a retired frame was not "
-                                "an ok no-op after " + where);
-                    } else if (monitor.stateDigest(true) != qd) {
-                        violate("quarantine",
-                                "no-op re-report changed the digest "
-                                "after " + where);
-                    }
-                }
-                break;
-              default:
-                if (mcv.value != RasOutcome::HostFatal) {
-                    violate("ras_fatal",
-                            "monitor-page poison resolved as " +
-                                std::string(toString(mcv.value)) +
-                                " after " + where);
-                    break;
-                }
-                rasFatalExpected = true;
-                if (!monitor.rasFatal()) {
-                    violate("ras_fatal",
-                            "HostFatal did not latch rasFatal after " +
-                                where);
-                } else {
-                    const MonitorResult probe =
-                        monitor.switchTo(dom[1]);
-                    if (probe.ok ||
-                        probe.code != MonitorError::RasFatal) {
-                        violate("ras_fatal",
-                                "mutating call after host degrade was "
-                                "not a typed RasFatal denial after " +
-                                    where);
-                    }
-                }
-                break;
-            }
-            // Blast-radius audit: every domain live before the report
-            // survives, except a data-page containment's own victim.
-            if (!out.violated) {
-                for (unsigned i : live) {
-                    if (cls == 0 && i == victim)
-                        continue;
-                    if (!monitor.domainExists(dom[i])) {
-                        violate("blast_radius",
-                                "containment killed bystander domain "
-                                "index " + std::to_string(i) +
-                                    " after " + where);
-                        break;
-                    }
+            v = battery.containment(
+                report, mcv, []() { return uint64_t(7); },
+                [&]() { return dom[1]; });
+            if (!v && report.cls == PoisonClass::Free) {
+                // Immediate idempotency probe.
+                battery.snapshot();
+                const MonitorValue<RasOutcome> again =
+                    monitor.handleMachineCheck(target);
+                if (!again.ok ||
+                    again.value != RasOutcome::AlreadyQuarantined) {
+                    v = {"quarantine", "re-report of a retired frame was "
+                                       "not an ok no-op"};
+                } else if (battery.rollback()) {
+                    v = {"quarantine",
+                         "no-op re-report changed the digest"};
                 }
             }
         }
-        if (!out.violated) {
-            const std::string inv = checkIsolationInvariants(monitor);
-            if (!inv.empty())
-                violate("invariant", inv + " after " + where);
-        }
+        if (!v)
+            v = battery.invariants();
+        if (v)
+            violate(v.kind, v.what + " after " + where);
     }
 
-    if (!out.violated && monitor.rasFatal() && !rasFatalExpected) {
-        violate("ras_fatal",
-                "host degraded without a monitor-region poison event");
+    if (!out.violated) {
+        if (const Verdict v = battery.unexpectedFatal())
+            violate(v.kind, v.what);
     }
 
-    out.decisions = std::move(ctl.made);
-    out.truncated = ctl.truncated;
-    out.divergence = ctl.divergence;
-    out.divergenceWhy = ctl.divergenceWhy;
-    out.newTransitions = ctl.pastPrefix()
-                             ? out.decisions.size() -
-                                   (forced ? forced->size() : 0)
-                             : 0;
+    out.newTransitions = taps.newDecisions();
+    taps.finish(out);
     if (!out.violated)
         out.finalDigest = stateKey();
     return out;
 }
+
+} // namespace
 
 RunOutcome
 runPath(const ModelConfig &cfg, const std::vector<Decision> *forced,

@@ -6,23 +6,21 @@
  * simulated system (SmpSystem + SecureMonitor + StaleChecker) is too
  * heavyweight to snapshot per state, so the enumerator explores the
  * decision tree by re-executing the whole bounded scenario from its
- * initial state along each path. runCorePath()/runMigratePath() build
- * a fresh system, install the three decision taps —
+ * initial state along each path. runPath() builds a fresh system (one
+ * setup shared by every scenario), installs the three decision taps —
  *
  *  - SmpSystem::setSchedHook        (which hart runs its next op),
  *  - FaultInjector decision controller (FAULT_POINT fire/no-fire),
- *  - an InterleaveHook that may drive a victim-hart nested call at
- *    Posted/Delivered steps (must bounce LockContended),
+ *  - the check battery's ProbeHook, which may drive a victim-hart
+ *    nested call at Posted/Delivered steps (must bounce LockContended),
  *
- * — replay the forced decision prefix, continue with defaults while
- * recording every further branch point, and check after *every* script
- * op:
- *
- *  1. isolation invariants (monitor/invariants.h);
- *  2. StaleChecker: no post-ack stale grant, strict quiescent sweep;
- *  3. digest-exact rollback of failed calls and cross-hart digest
- *     convergence of successful ones;
- *  4. every opened shootdown window closed (bounded-retry termination).
+ * — replays the forced decision prefix, continues with defaults while
+ * recording every further branch point, and judges every state with
+ * the check battery shared with the chaos campaigns
+ * (verify/check_battery.h): isolation invariants, the stale checker's
+ * post-ack and quiescent verdicts, digest-exact rollback of failed
+ * calls and cross-hart convergence of successful ones, window closure
+ * (bounded-retry termination), and the RAS and migration audits.
  *
  * The model configuration deliberately runs harts bare with the PMPTW
  * cache disabled, so a hart's complete modelled state is its HPMP
@@ -92,7 +90,8 @@ struct RunOutcome
     bool divergence = false; //!< forced prefix failed to align
     std::string divergenceWhy;
     uint64_t opsExecuted = 0;    //!< script ops run this path
-    uint64_t newTransitions = 0; //!< ops executed past the forced prefix
+    uint64_t newTransitions = 0; //!< ops (core) or decisions (migrate,
+                                 //!< ras) past the forced prefix
     uint64_t sleepMergedAlts = 0; //!< sched alternatives merged (POR)
     uint64_t finalDigest = 0;     //!< state key at end (or violation)
 };
@@ -101,38 +100,22 @@ struct RunOutcome
 using StateSet = std::unordered_set<uint64_t>;
 
 /**
- * Execute one path of the monitor-call scenario. `forced` is the
+ * Execute one path of config.script's scenario. `forced` is the
  * decision prefix to replay (nullptr = all defaults); `visited` turns
- * on explicit-state dedup (nullptr during replay/minimization).
+ * on explicit-state dedup (nullptr during replay/minimization; the
+ * single-op scenarios ignore it).
+ *
+ *  - core: the interleaved monitor-call script, judged by the check
+ *    battery after every op.
+ *  - migrate: one two-host migration attempt with every migrate.*
+ *    FAULT_POINT hit branched; the cross-system no-dual-grant oracle
+ *    and the battery's migration outcome audit judge it.
+ *  - ras: two poison/report rounds whose placement (a victim's data
+ *    page, a pmpte frame, a free frame, a monitor-private page) is a
+ *    decision, with monitor.destroy_domain / monitor.heal_table hits
+ *    branched; the battery's containment audit, digest-exact rollback
+ *    of failed containments and quarantine idempotency judge it.
  */
-RunOutcome runCorePath(const ModelConfig &config,
-                       const std::vector<Decision> *forced,
-                       StateSet *visited);
-
-/**
- * Execute one path of the two-host live-migration scenario: a single
- * migration attempt with every migrate.* FAULT_POINT hit enumerated
- * as a binary branch. Checks the cross-system no-dual-grant oracle,
- * digest-exact abort restore, and commit/stranded grant placement.
- */
-RunOutcome runMigratePath(const ModelConfig &config,
-                          const std::vector<Decision> *forced);
-
-/**
- * Execute one path of the RAS containment scenario: two poison/report
- * rounds whose placement (a victim enclave's data page, a pmpte frame
- * of a live PMP Table, an unowned free frame, a monitor-private page)
- * is enumerated as a decision, with monitor.destroy_domain /
- * monitor.heal_table FAULT_POINT hits branched to cover every failed
- * containment. Checks the blast-radius contract (only the owning
- * domain dies, self-heals keep the measurement and re-point the root,
- * monitor poison degrades exactly the whole host), digest-exact
- * rollback of failed containments, and quarantine idempotency.
- */
-RunOutcome runRasPath(const ModelConfig &config,
-                      const std::vector<Decision> *forced);
-
-/** Dispatch on config.script. */
 RunOutcome runPath(const ModelConfig &config,
                    const std::vector<Decision> *forced, StateSet *visited);
 

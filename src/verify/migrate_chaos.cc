@@ -1,4 +1,17 @@
-#include "migrate/migrate_chaos.h"
+/**
+ * @file
+ * Migration chaos campaign (ChaosLayer::Migrate).
+ *
+ * Two hosts, one migration engine per direction, and a seeded stream
+ * of domain ping-pong migrations with faults armed at random sites —
+ * including the migrate.* protocol sites (torn checkpoint, frame
+ * drop/dup/corrupt, lost ack, destination attest failure, crash
+ * during commit). Every attempt is judged by the check battery's
+ * migration outcome audit; on top of it a commit must leave the
+ * domain's memory pattern intact on the destination and the retired
+ * source id a typed denial, and the cross-system oracle must observe
+ * no dual-grant window at any protocol step.
+ */
 
 #include <memory>
 #include <sstream>
@@ -14,6 +27,8 @@
 #include "migrate/migration.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
+#include "verify/chaos_engine.h"
+#include "verify/check_battery.h"
 
 namespace hpmp
 {
@@ -50,10 +65,6 @@ struct Slot
 ChaosStats
 runMigrateChaos(const ChaosConfig &config)
 {
-    panic_if(!config.migrateLayer, "runMigrateChaos without migrateLayer");
-    panic_if(config.osLayer || config.virtLayer || config.fleetLayer,
-             "--migrate is mutually exclusive with the other layers");
-
     ChaosStats stats;
     stats.harts = config.harts;
     Rng rng(config.seed);
@@ -84,7 +95,6 @@ runMigrateChaos(const ChaosConfig &config)
     }
 
     MigrateConfig ec;
-    ec.fullSourceDigest = config.fullDigest;
     // Trace tracks: host A = 0, host B = 1, whichever direction a
     // migration runs — a failing-seed dump shows both hosts' spans on
     // consistent timelines.
@@ -141,6 +151,13 @@ runMigrateChaos(const ChaosConfig &config)
         stats.failure = os.str();
     };
 
+    auto register_all = [&](StatRegistry &registry) {
+        monA.registerStats(registry);
+        smpA.registerStats(registry);
+        engFwd.registerStats(registry);
+        engBack.registerStats(registry);
+        oracleFwd.registerStats(registry);
+    };
     // Windowed telemetry across both hosts, clocked by the sum of
     // both monitors' simulated call cycles (work on either host
     // advances the campaign clock).
@@ -152,11 +169,7 @@ runMigrateChaos(const ChaosConfig &config)
         return (a ? a->sum() : 0) + (b ? b->sum() : 0);
     };
     if (config.statsSeriesOut) {
-        monA.registerStats(seriesRegistry);
-        smpA.registerStats(seriesRegistry);
-        engFwd.registerStats(seriesRegistry);
-        engBack.registerStats(seriesRegistry);
-        oracleFwd.registerStats(seriesRegistry);
+        register_all(seriesRegistry);
         sampler = std::make_unique<StatSampler>(seriesRegistry,
                                                 config.statsSeriesInterval);
     }
@@ -198,11 +211,20 @@ runMigrateChaos(const ChaosConfig &config)
             if (res.ok) {
                 ++stats.migrateCommits;
                 ++stats.okOps;
-                FaultInjector::SuspendGuard guard;
-                if (here.domainExists(slot.id)) {
-                    fail(i, "domain still exists on the source "
-                            "after a committed migration");
-                }
+            } else if (res.stranded) {
+                ++stats.migrateStranded;
+                ++stats.failedOps;
+            } else {
+                ++stats.migrateAborts;
+                ++stats.failedOps;
+                ++stats.migrateDigestChecks;
+                ++stats.rollbackChecks;
+            }
+
+            FaultInjector::SuspendGuard guard;
+            if (const Verdict v = auditMigration(res, here, slot.id, there))
+                fail(i, v.kind + ": " + v.what);
+            if (res.ok) {
                 // The retired source id must stay a typed denial —
                 // including once the slot index is recycled.
                 const MonitorResult probe = here.switchTo(slot.id);
@@ -213,8 +235,6 @@ runMigrateChaos(const ChaosConfig &config)
                     fail(i, "retired source id was not denied after "
                             "migration commit");
                 }
-                if (!there.domainGrantable(res.destId))
-                    fail(i, "domain not grantable on the destination");
                 std::vector<uint8_t> buf(kPatternBytes);
                 thereSmp.mem().readBytes(slot.base, buf.data(),
                                          buf.size());
@@ -225,45 +245,14 @@ runMigrateChaos(const ChaosConfig &config)
                         break;
                     }
                 }
+            } else if (res.stranded && there.domainMigrating(res.destId) &&
+                       !there.resumeDomain(res.destId).ok) {
+                // Operator recovery: resume the staged copy.
+                fail(i, "stranded-domain recovery resume failed");
+            }
+            if (res.ok || res.stranded) {
                 slot.id = res.destId;
                 slot.onDest = !slot.onDest;
-            } else if (res.stranded) {
-                ++stats.migrateStranded;
-                ++stats.failedOps;
-                FaultInjector::SuspendGuard guard;
-                if (here.domainExists(slot.id)) {
-                    fail(i, "source still holds the domain after a "
-                            "stranded commit");
-                }
-                if (!there.domainMigrating(res.destId) &&
-                    !there.domainGrantable(res.destId)) {
-                    fail(i, "stranded domain is neither staged nor "
-                            "active on the destination");
-                }
-                if (there.domainMigrating(res.destId) &&
-                    !there.resumeDomain(res.destId).ok) {
-                    // Operator recovery: resume the staged copy.
-                    fail(i, "stranded-domain recovery resume failed");
-                }
-                slot.id = res.destId;
-                slot.onDest = !slot.onDest;
-            } else {
-                ++stats.migrateAborts;
-                ++stats.failedOps;
-                ++stats.migrateDigestChecks;
-                ++stats.rollbackChecks;
-                if (res.sourcePostDigest != res.sourcePreDigest) {
-                    std::ostringstream os;
-                    os << "post-abort digest divergence in phase "
-                       << toString(res.failedPhase) << " ("
-                       << res.error << ")";
-                    fail(i, os.str());
-                }
-                FaultInjector::SuspendGuard guard;
-                if (!here.domainGrantable(slot.id)) {
-                    fail(i, "domain not grantable on the source after "
-                            "an aborted migration (" + res.error + ")");
-                }
             }
         }
 
@@ -286,11 +275,7 @@ runMigrateChaos(const ChaosConfig &config)
     }
     if (config.statsJsonOut) {
         StatRegistry registry;
-        monA.registerStats(registry);
-        smpA.registerStats(registry);
-        engFwd.registerStats(registry);
-        engBack.registerStats(registry);
-        oracleFwd.registerStats(registry);
+        register_all(registry);
         *config.statsJsonOut = registry.dumpJson();
     }
     return stats;

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "monitor/chaos_engine.h"
+#include "verify/chaos_engine.h"
 
 namespace hpmp
 {
@@ -27,6 +27,9 @@ runSeed(uint64_t seed, unsigned ops, IsolationScheme scheme)
     EXPECT_FALSE(stats.failed) << stats.failure;
     EXPECT_EQ(stats.ops, ops);
     EXPECT_EQ(stats.invariantChecks, ops);
+    // Every campaign, single-hart included, runs the full battery.
+    EXPECT_GT(stats.staleProbes, 0u);
+    EXPECT_GT(stats.convergenceChecks, 0u);
     return stats;
 }
 

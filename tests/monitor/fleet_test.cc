@@ -18,7 +18,7 @@
 
 #include "base/fault_inject.h"
 #include "core/smp.h"
-#include "monitor/chaos_engine.h"
+#include "verify/chaos_engine.h"
 #include "monitor/domain_registry.h"
 #include "monitor/secure_monitor.h"
 
@@ -192,9 +192,9 @@ TEST_F(FleetMonitorTest, CoalescedFaultRollsBackEveryHartBitIdentically)
     EXPECT_EQ(monitor->pendingCoalescedCommits(), 1u);
     EXPECT_GT(monitor->endCoalescedWindow(), 0u);
     EXPECT_EQ(monitor->currentDomain(), a);
-    const uint64_t d0 = monitor->hartStateDigest(0, true, true, false);
+    const uint64_t d0 = monitor->hartStateDigest(0, true, false);
     for (unsigned h = 1; h < 4; ++h)
-        EXPECT_EQ(monitor->hartStateDigest(h, true, true, false), d0)
+        EXPECT_EQ(monitor->hartStateDigest(h, true, false), d0)
             << "hart " << h;
 }
 
@@ -269,7 +269,7 @@ TEST(FleetChaosMatrix, ZeroPostAckStaleAcrossSeedsAndHarts)
             config.seed = seed;
             config.ops = 250;
             config.harts = harts;
-            config.fleetLayer = true;
+            config.layer = ChaosLayer::Fleet;
             const ChaosStats stats = runChaos(config);
             EXPECT_FALSE(stats.failed)
                 << "seed " << seed << " harts " << harts << ": "

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "monitor/merkle.h"
 
 namespace hpmp
@@ -91,6 +93,44 @@ TEST_F(MerkleTest, TamperWhileUnmountedIsCaughtAtRemount)
     mem.write64(kBase + 2 * kPageSize, 0xbad);
     EXPECT_FALSE(tree->remountSubtree(kBase, 3));
     EXPECT_FALSE(tree->verifyPage(kBase + 2 * kPageSize));
+}
+
+TEST(MerkleSparse, MixedBackingMatchesPageByPageFold)
+{
+    // Written, released (unbacked again) and never-touched pages in one
+    // region: the root must equal a reference fold that hashes every
+    // page's readBytes contents, whatever the page's backing.
+    PhysMem mem(1_GiB);
+    constexpr Addr kBase = 64_MiB;
+    constexpr unsigned kPages = 13; // padded to 16 leaves
+    for (unsigned p : {0u, 3u, 4u, 9u, 12u})
+        mem.write64(kBase + p * kPageSize + 8 * p, 0xabc0 + p);
+    mem.writeBytes(kBase + 6 * kPageSize, "released", 8);
+    mem.releasePage(kBase + 6 * kPageSize);
+    mem.releasePage(kBase + 3 * kPageSize);
+    ASSERT_FALSE(mem.backed(kBase + 3 * kPageSize));
+    ASSERT_FALSE(mem.backed(kBase + 7 * kPageSize));
+    ASSERT_TRUE(mem.backed(kBase + 4 * kPageSize));
+
+    std::vector<MerkleHash> level(16, 0);
+    std::vector<uint8_t> buf(kPageSize);
+    for (unsigned p = 0; p < kPages; ++p) {
+        mem.readBytes(kBase + p * kPageSize, buf.data(), kPageSize);
+        level[p] = merkleHashBytes(buf.data(), buf.size());
+    }
+    while (level.size() > 1) {
+        std::vector<MerkleHash> up;
+        for (size_t i = 0; i < level.size(); i += 2) {
+            const MerkleHash pair[2] = {level[i], level[i + 1]};
+            up.push_back(merkleHashBytes(pair, sizeof(pair),
+                                         0x9e3779b97f4a7c15ULL));
+        }
+        level = std::move(up);
+    }
+    const MerkleTree tree(mem, kBase, kPages * kPageSize);
+    EXPECT_EQ(tree.rootHash(), level[0]);
+    EXPECT_TRUE(tree.verifyPage(kBase + 6 * kPageSize));
+    EXPECT_TRUE(tree.verifyPage(kBase + 9 * kPageSize));
 }
 
 TEST(MerkleHashFn, BasicProperties)

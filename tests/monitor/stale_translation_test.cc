@@ -14,7 +14,7 @@
 
 #include "base/fault_inject.h"
 #include "core/smp.h"
-#include "monitor/chaos_engine.h"
+#include "verify/chaos_engine.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
 
@@ -156,7 +156,7 @@ TEST(StaleMatrix, OsLayerCampaignDrivesPagedWatches)
         config.ops = 60;
         config.scheme = IsolationScheme::Hpmp;
         config.harts = 4;
-        config.osLayer = true;
+        config.layer = ChaosLayer::Os;
         const ChaosStats stats = runChaos(config);
         ASSERT_FALSE(stats.failed) << "seed " << seed << ": "
                                    << stats.failure;

@@ -20,7 +20,7 @@
 #include "base/frame_alloc.h"
 #include "core/smp.h"
 #include "core/virt_machine.h"
-#include "monitor/chaos_engine.h"
+#include "verify/chaos_engine.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
 #include "pt/page_table.h"
@@ -333,7 +333,7 @@ TEST_F(VirtStaleTest, VirtChaosMatrixHasZeroPostAckStaleGrants)
             config.ops = 120;
             config.faultProb = 0.25;
             config.harts = harts;
-            config.virtLayer = true;
+            config.layer = ChaosLayer::Virt;
             const ChaosStats stats = runChaos(config);
             EXPECT_FALSE(stats.failed) << stats.failure;
             shootdowns += stats.hfenceShootdowns;

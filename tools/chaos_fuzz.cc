@@ -2,7 +2,7 @@
  * @file
  * Command-line driver for the monitor chaos fuzzer.
  *
- * Runs randomized domain-lifecycle campaigns (monitor/chaos_engine.h)
+ * Runs randomized domain-lifecycle campaigns (verify/chaos_engine.h)
  * with fault injection armed and the isolation invariants checked
  * after every operation. Deterministic per seed: any failure printed
  * here is replayed exactly with
@@ -22,28 +22,54 @@
 
 #include "base/fault_inject.h"
 #include "base/trace.h"
-#include "migrate/migrate_chaos.h"
-#include "monitor/chaos_engine.h"
+#include "verify/chaos_engine.h"
 
 namespace
 {
 
 using hpmp::ChaosConfig;
+using hpmp::ChaosLayer;
 using hpmp::ChaosStats;
 using hpmp::IsolationScheme;
+
+/** One layer flag: its spelling, layer and harts minimum. */
+struct LayerFlag
+{
+    const char *flag;
+    ChaosLayer layer;
+    unsigned minHarts;
+    const char *why; //!< why the layer needs minHarts
+};
+
+const LayerFlag kLayerFlags[] = {
+    {"--os-layer", ChaosLayer::Os, 2,
+     "the OS-layer campaign is part of the multi-hart fuzzer"},
+    {"--virt", ChaosLayer::Virt, 2,
+     "the guest campaign is part of the multi-hart fuzzer"},
+    {"--fleet", ChaosLayer::Fleet, 2,
+     "coalesced shootdown windows only exist with sibling harts to "
+     "fence"},
+    {"--ras", ChaosLayer::Ras, 1, ""},
+    {"--migrate", ChaosLayer::Migrate, 1, ""},
+};
+
+const LayerFlag *
+findLayerFlag(const std::string &flag)
+{
+    for (const LayerFlag &f : kLayerFlags) {
+        if (flag == f.flag)
+            return &f;
+    }
+    return nullptr;
+}
 
 struct Options
 {
     std::vector<uint64_t> seeds{1, 2, 3, 4, 5, 6, 7, 8};
     unsigned ops = 1000;
     double faultProb = 0.25;
-    bool fullDigest = true;
-    unsigned harts = 1;    //!< >1 runs the multi-hart campaign
-    bool osLayer = false;  //!< per-hart kernels + DMA (multi-hart only)
-    bool virtLayer = false; //!< per-hart guest VMs (multi-hart only)
-    bool fleetLayer = false; //!< fleet serving chaos (multi-hart only)
-    bool rasLayer = false;   //!< memory-poison / machine-check chaos
-    bool migrateLayer = false; //!< two-host live-migration chaos
+    unsigned harts = 1;
+    const LayerFlag *layer = nullptr; //!< nullptr = ChaosLayer::Core
     size_t traceRing = 8192; //!< event-ring capacity; 0 disables capture
     std::vector<IsolationScheme> schemes{IsolationScheme::Hpmp};
     std::string statsJson; //!< per-campaign stats JSON file; "" = off
@@ -64,7 +90,7 @@ usage(const char *argv0)
         "          [--scheme pmp|pmpt|hpmp|all] [--fault-prob P]\n"
         "          [--harts N] [--os-layer] [--virt] [--fleet]\n"
         "          [--ras] [--migrate] [--trace-ring N]\n"
-        "          [--light-digest] [--stats-json FILE]\n"
+        "          [--stats-json FILE]\n"
         "          [--stats-series FILE] [--stats-interval CYCLES]\n"
         "          [--site-coverage-out FILE] [--list-fault-sites]\n",
         argv0);
@@ -200,20 +226,16 @@ main(int argc, char **argv)
             opts.ops = unsigned(std::strtoul(value(), nullptr, 0));
         } else if (arg == "--fault-prob") {
             opts.faultProb = std::strtod(value(), nullptr);
-        } else if (arg == "--light-digest") {
-            opts.fullDigest = false;
         } else if (arg == "--harts") {
             opts.harts = unsigned(std::strtoul(value(), nullptr, 0));
-        } else if (arg == "--os-layer") {
-            opts.osLayer = true;
-        } else if (arg == "--virt") {
-            opts.virtLayer = true;
-        } else if (arg == "--fleet") {
-            opts.fleetLayer = true;
-        } else if (arg == "--ras") {
-            opts.rasLayer = true;
-        } else if (arg == "--migrate") {
-            opts.migrateLayer = true;
+        } else if (const LayerFlag *f = findLayerFlag(arg)) {
+            if (opts.layer && opts.layer != f) {
+                std::fprintf(stderr, "at most one layer flag (--os-layer, "
+                                     "--virt, --fleet, --ras, --migrate): "
+                                     "each layer runs its own campaign\n");
+                return 2;
+            }
+            opts.layer = f;
         } else if (arg == "--site-coverage-out") {
             opts.siteCoverageOut = value();
         } else if (arg == "--list-fault-sites") {
@@ -247,53 +269,14 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
-    if (opts.osLayer && opts.harts < 2) {
-        std::fprintf(stderr,
-                     "--os-layer requires --harts >= 2 (the OS-layer "
-                     "campaign is part of the multi-hart fuzzer)\n");
+    if (opts.layer && opts.harts < opts.layer->minHarts) {
+        std::fprintf(stderr, "%s requires --harts >= %u (%s)\n",
+                     opts.layer->flag, opts.layer->minHarts,
+                     opts.layer->why);
         return 2;
     }
-    if (opts.virtLayer && opts.harts < 2) {
-        std::fprintf(stderr,
-                     "--virt requires --harts >= 2 (the guest campaign "
-                     "is part of the multi-hart fuzzer)\n");
-        return 2;
-    }
-    if (opts.virtLayer && opts.osLayer) {
-        std::fprintf(stderr,
-                     "--virt and --os-layer are mutually exclusive (the "
-                     "kernels page the host harts the guests wrap)\n");
-        return 2;
-    }
-    if (opts.fleetLayer && opts.harts < 2) {
-        std::fprintf(stderr,
-                     "--fleet requires --harts >= 2 (coalesced shootdown "
-                     "windows only exist with sibling harts to fence)\n");
-        return 2;
-    }
-    if (opts.fleetLayer && (opts.osLayer || opts.virtLayer)) {
-        std::fprintf(stderr,
-                     "--fleet is mutually exclusive with --os-layer and "
-                     "--virt (the fleet epochs drive their own domain "
-                     "traffic)\n");
-        return 2;
-    }
-    if (opts.rasLayer &&
-        (opts.osLayer || opts.virtLayer || opts.fleetLayer)) {
-        std::fprintf(stderr,
-                     "--ras is mutually exclusive with --os-layer, "
-                     "--virt and --fleet (poison containment audits "
-                     "need sole ownership of the domain population)\n");
-        return 2;
-    }
-    if (opts.migrateLayer &&
-        (opts.osLayer || opts.virtLayer || opts.fleetLayer ||
-         opts.rasLayer)) {
-        std::fprintf(stderr,
-                     "--migrate is mutually exclusive with the other "
-                     "layers (it runs its own two-host campaign)\n");
-        return 2;
-    }
+    const ChaosLayer layer =
+        opts.layer ? opts.layer->layer : ChaosLayer::Core;
 
     RingCapture capture(opts.traceRing);
     // Dump the union of fault sites the process ever hit (the
@@ -328,13 +311,8 @@ main(int argc, char **argv)
             config.ops = opts.ops;
             config.scheme = scheme;
             config.faultProb = opts.faultProb;
-            config.fullDigest = opts.fullDigest;
             config.harts = opts.harts;
-            config.osLayer = opts.osLayer;
-            config.virtLayer = opts.virtLayer;
-            config.fleetLayer = opts.fleetLayer;
-            config.rasLayer = opts.rasLayer;
-            config.migrateLayer = opts.migrateLayer;
+            config.layer = layer;
             std::string campaign_stats;
             if (!opts.statsJson.empty())
                 config.statsJsonOut = &campaign_stats;
@@ -345,9 +323,7 @@ main(int argc, char **argv)
             }
 
             capture.nextCampaign();
-            const ChaosStats stats = opts.migrateLayer
-                                         ? hpmp::runMigrateChaos(config)
-                                         : hpmp::runChaos(config);
+            const ChaosStats stats = hpmp::runChaos(config);
             if (!opts.statsJson.empty()) {
                 if (!campaigns_json.empty())
                     campaigns_json += ",\n";
@@ -393,7 +369,7 @@ main(int argc, char **argv)
                     (unsigned long long)stats.osOps,
                     (unsigned long long)stats.dmaOps);
             }
-            if (opts.fleetLayer) {
+            if (layer == ChaosLayer::Fleet) {
                 std::printf(
                     "      fleet-ops=%llu epochs=%llu churns=%llu "
                     "stale-probes=%llu coalesced-windows=%llu "
@@ -405,7 +381,7 @@ main(int argc, char **argv)
                     (unsigned long long)stats.coalescedWindows,
                     (unsigned long long)stats.postAckViolations);
             }
-            if (opts.virtLayer) {
+            if (layer == ChaosLayer::Virt) {
                 std::printf(
                     "      virt-ops=%llu hfence-shootdowns=%llu "
                     "virt-stale-probes=%llu virt-pre-ack-stale=%llu "
@@ -417,7 +393,7 @@ main(int argc, char **argv)
                     (unsigned long long)stats.staleExecGrants,
                     (unsigned long long)stats.staleRwGrants);
             }
-            if (opts.rasLayer) {
+            if (layer == ChaosLayer::Ras) {
                 std::printf(
                     "      ras-ops=%llu poisons=%llu machine-checks=%llu "
                     "reports=%llu quarantines=%llu contained=%llu "
@@ -435,7 +411,7 @@ main(int argc, char **argv)
                     (unsigned long long)stats.scrubDetections,
                     (unsigned long long)stats.rasBlastViolations);
             }
-            if (opts.migrateLayer) {
+            if (layer == ChaosLayer::Migrate) {
                 std::printf(
                     "      migrations=%llu commits=%llu aborts=%llu "
                     "stranded=%llu retries=%llu bytes=%llu "
@@ -466,18 +442,8 @@ main(int argc, char **argv)
                 std::snprintf(prob, sizeof(prob), "%g", opts.faultProb);
                 replay += std::string(" --fault-prob ") + prob;
                 replay += " --harts " + std::to_string(opts.harts);
-                if (!opts.fullDigest)
-                    replay += " --light-digest";
-                if (opts.osLayer)
-                    replay += " --os-layer";
-                if (opts.virtLayer)
-                    replay += " --virt";
-                if (opts.fleetLayer)
-                    replay += " --fleet";
-                if (opts.rasLayer)
-                    replay += " --ras";
-                if (opts.migrateLayer)
-                    replay += " --migrate";
+                if (opts.layer)
+                    replay += std::string(" ") + opts.layer->flag;
                 replay += " --trace-ring " + std::to_string(opts.traceRing);
                 std::printf("replay: %s\n", replay.c_str());
                 capture.dumpFor(seed);
