@@ -54,7 +54,12 @@ struct InjectedFault
 class FaultInjector
 {
   public:
-    static FaultInjector &instance();
+    static FaultInjector &
+    instance()
+    {
+        static FaultInjector injector;
+        return injector;
+    }
 
     /** Fast path: anything armed at all? Inlined into FAULT_POINT. */
     bool enabled() const { return enabled_ && suspend_ == 0; }

@@ -14,6 +14,7 @@
 #ifndef HPMP_BASE_STATS_H
 #define HPMP_BASE_STATS_H
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -74,16 +75,7 @@ class Distribution
     uint64_t bucket(unsigned i) const { return i < kBuckets ? buckets_[i] : 0; }
 
     /** Bucket index a value lands in. */
-    static unsigned
-    bucketOf(uint64_t v)
-    {
-        unsigned width = 0;
-        while (v) {
-            ++width;
-            v >>= 1;
-        }
-        return width;
-    }
+    static unsigned bucketOf(uint64_t v) { return unsigned(std::bit_width(v)); }
 
     /** Inclusive value range [low, high] of bucket i. */
     static uint64_t bucketLow(unsigned i) { return i <= 1 ? 0 : 1ull << (i - 1); }

@@ -1,6 +1,5 @@
 #include "core/machine.h"
 
-#include "base/fault_inject.h"
 #include "base/logging.h"
 #include "base/trace.h"
 #include "core/core_model.h"
@@ -62,20 +61,6 @@ Machine::registerStats(StatRegistry &registry)
     registry.add(&pmptwStats_);
 }
 
-namespace
-{
-
-/** Classify a fault for the machine-level counters. */
-bool
-isAccessFault(Fault fault)
-{
-    return fault == Fault::LoadAccessFault ||
-           fault == Fault::StoreAccessFault ||
-           fault == Fault::FetchAccessFault;
-}
-
-} // namespace
-
 void
 Machine::setSatp(Addr root_pa, PagingMode mode)
 {
@@ -100,25 +85,6 @@ Machine::coldReset()
     sfenceVma();
     hpmp_->flushCache();
     hier_->flushAll();
-}
-
-Fault
-Machine::consumePoison(Addr pa, uint64_t len, RefOrigin origin,
-                       AccessOutcome &out)
-{
-    if (!mem_->isPoisoned(pa, len))
-        return Fault::None;
-    out.poisonAddr = pa;
-    out.poisonOrigin = origin;
-    return Fault::MachineCheck;
-}
-
-Fault
-Machine::dataPoisonCheck(Addr pa, AccessOutcome &out)
-{
-    if (FAULT_POINT_NAMED("ras.poison_on_fill"))
-        mem_->poisonLine(pa);
-    return consumePoison(pa, 8, RefOrigin::Data, out);
 }
 
 Fault
@@ -159,26 +125,6 @@ Machine::physPermProbe(Addr pa) const
     return hpmp_->probe(pa);
 }
 
-AccessOutcome
-Machine::access(Addr va, AccessType type)
-{
-    AccessOutcome out = accessInner(va, type);
-    ++statAccesses_;
-    if (!out.tlbHit && translationOn_) {
-        ++statWalks_;
-        statWalkCycles_.sample(out.cycles);
-    }
-    statPtRefs_ += out.ptRefs + out.adRefs;
-    statPmptRefs_ += out.pmptRefs;
-    if (out.fault == Fault::MachineCheck)
-        ++statMachineChecks_;
-    else if (isAccessFault(out.fault))
-        ++statAccessFaults_;
-    else if (out.fault != Fault::None)
-        ++statPageFaults_;
-    return out;
-}
-
 BatchOutcome
 Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
                      bool stop_on_fault)
@@ -204,12 +150,7 @@ Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
             ++b.faults;
             if (b.firstFault == Fault::None)
                 b.firstFault = out.fault;
-            if (out.fault == Fault::MachineCheck)
-                ++statMachineChecks_;
-            else if (isAccessFault(out.fault))
-                ++statAccessFaults_;
-            else
-                ++statPageFaults_;
+            countFault(out.fault);
             if (stop_on_fault)
                 break;
         }
@@ -223,53 +164,15 @@ Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
 }
 
 AccessOutcome
-Machine::accessInner(Addr va, AccessType type)
+Machine::accessMiss(Addr va, AccessType type)
 {
     AccessOutcome out;
-    const bool is_store = type == AccessType::Store;
-    const bool is_fetch = type == AccessType::Fetch;
-
     if (!translationOn_) {
         // Bare mode: the physical check still applies (e.g. the host
         // OS running with PMP enabled but paging off).
         out.fault = checkPhys(va, type, out);
         if (out.fault == Fault::None)
-            out.fault = dataPoisonCheck(va, out);
-        if (out.fault != Fault::None)
-            return out;
-        const uint64_t data_cycles =
-            hier_->access(va, is_store, is_fetch).cycles;
-        out.cycles += data_cycles;
-        attr_.record(RefOrigin::Data, data_cycles);
-        out.dataRefs = 1;
-        return out;
-    }
-
-    TlbHitLevel hit_level = TlbHitLevel::Miss;
-    if (auto entry = tlb_->lookup(va, &hit_level)) {
-        out.tlbHit = true;
-        if (hit_level == TlbHitLevel::L2)
-            out.cycles += kL2TlbPenalty;
-
-        // Privilege/permission checks from the cached entry; the
-        // inlined physical permission makes PMP/PMPT activity
-        // unnecessary on hits (TLB inlining, §7).
-        Pte shadow = Pte::leaf(0, entry->perm, entry->user, true, true);
-        out.fault = checkLeafPerms(shadow, type, priv_, true);
-        if (out.fault == Fault::None && !entry->physPerm.allows(type))
-            out.fault = accessFaultFor(type);
-        if (out.fault != Fault::None)
-            return out;
-
-        const Addr pa = entry->translate(va);
-        out.fault = dataPoisonCheck(pa, out);
-        if (out.fault != Fault::None)
-            return out;
-        const uint64_t data_cycles =
-            hier_->access(pa, is_store, is_fetch).cycles;
-        out.cycles += data_cycles;
-        attr_.record(RefOrigin::Data, data_cycles);
-        out.dataRefs = 1;
+            dataRef(va, type, out);
         return out;
     }
 
@@ -325,14 +228,9 @@ Machine::accessInner(Addr va, AccessType type)
     // Data reference with its own physical check.
     out.fault = checkPhys(walk.pa, type, out);
     if (out.fault == Fault::None)
-        out.fault = dataPoisonCheck(walk.pa, out);
+        dataRef(walk.pa, type, out);
     if (out.fault != Fault::None)
         return out;
-    const uint64_t data_cycles =
-        hier_->access(walk.pa, is_store, is_fetch).cycles;
-    out.cycles += data_cycles;
-    attr_.record(RefOrigin::Data, data_cycles);
-    out.dataRefs = 1;
 
     DPRINTF(Walk, "va=%#lx pa=%#lx pt=%u ad=%u pmpt=%u cycles=%lu\n",
             va, walk.pa, out.ptRefs, out.adRefs, out.pmptRefs,

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "base/attribution.h"
+#include "base/fault_inject.h"
 #include "base/stats.h"
 #include "core/params.h"
 #include "core/pwc.h"
@@ -214,8 +215,21 @@ class Machine
     unsigned hartId_ = 0;
     SatpFenceHook satpFenceHook_;
 
-    /** The access path proper (stats wrapper lives in access()). */
+    /**
+     * The access path proper (stats wrapper lives in access()): the
+     * TLB-hit path, inline; everything else goes to accessMiss().
+     */
     AccessOutcome accessInner(Addr va, AccessType type);
+
+    /** Bare mode and the TLB-miss walk (the lookup already missed). */
+    AccessOutcome accessMiss(Addr va, AccessType type);
+
+    /**
+     * The data/instruction reference at pa, its protection check
+     * already passed: poison check, then the hierarchy access, its
+     * attribution and dataRefs. Sets out.fault.
+     */
+    void dataRef(Addr pa, AccessType type, AccessOutcome &out);
 
     /**
      * Consume poison on [pa, pa+len): returns MachineCheck (and tags
@@ -223,12 +237,20 @@ class Machine
      * uncorrectable-error mark, None otherwise. Fail closed: the
      * faulting reference never returns data.
      */
-    Fault consumePoison(Addr pa, uint64_t len, RefOrigin origin,
-                        AccessOutcome &out);
+    Fault
+    consumePoison(Addr pa, uint64_t len, RefOrigin origin,
+                  AccessOutcome &out)
+    {
+        if (!mem_->isPoisoned(pa, len))
+            return Fault::None;
+        out.poisonAddr = pa;
+        out.poisonOrigin = origin;
+        return Fault::MachineCheck;
+    }
 
-    /** Data-reference poison check, including the ras.poison_on_fill
-     *  injection site (fires only when armed by name). */
-    Fault dataPoisonCheck(Addr pa, AccessOutcome &out);
+    /** Add a faulting outcome to the machine_checks, access_faults or
+     *  page_faults counter (None counts nowhere). */
+    void countFault(Fault fault);
 
     StatGroup stats_;
     StatGroup tlbStats_;
@@ -247,6 +269,80 @@ class Machine
 
     static constexpr unsigned kL2TlbPenalty = 2;
 };
+
+inline AccessOutcome
+Machine::access(Addr va, AccessType type)
+{
+    AccessOutcome out = accessInner(va, type);
+    ++statAccesses_;
+    if (!out.tlbHit && translationOn_) {
+        ++statWalks_;
+        statWalkCycles_.sample(out.cycles);
+    }
+    statPtRefs_ += out.ptRefs + out.adRefs;
+    statPmptRefs_ += out.pmptRefs;
+    countFault(out.fault);
+    return out;
+}
+
+inline AccessOutcome
+Machine::accessInner(Addr va, AccessType type)
+{
+    TlbHitLevel hit_level = TlbHitLevel::Miss;
+    const TlbEntry *entry =
+        translationOn_ ? tlb_->lookup(va, &hit_level) : nullptr;
+    if (!entry)
+        return accessMiss(va, type);
+
+    // The entry's precomputed allow masks stand in for the leaf and
+    // physical checks; the inlined physical permission makes PMP/PMPT
+    // activity unnecessary on hits (TLB inlining, §7).
+    AccessOutcome out;
+    out.tlbHit = true;
+    if (hit_level == TlbHitLevel::L2)
+        out.cycles += kL2TlbPenalty;
+    out.fault = entry->check(priv_, type);
+    if (out.fault == Fault::None)
+        dataRef(entry->translate(va), type, out);
+    return out;
+}
+
+inline void
+Machine::dataRef(Addr pa, AccessType type, AccessOutcome &out)
+{
+    // ras.poison_on_fill fires only when armed by name.
+    if (FAULT_POINT_NAMED("ras.poison_on_fill"))
+        mem_->poisonLine(pa);
+    out.fault = consumePoison(pa, 8, RefOrigin::Data, out);
+    if (out.fault != Fault::None)
+        return;
+    const uint64_t data_cycles =
+        hier_->access(pa, type == AccessType::Store,
+                      type == AccessType::Fetch).cycles;
+    out.cycles += data_cycles;
+    attr_.record(RefOrigin::Data, data_cycles);
+    out.dataRefs = 1;
+}
+
+inline void
+Machine::countFault(Fault fault)
+{
+    switch (fault) {
+      case Fault::None:
+        break;
+      case Fault::MachineCheck:
+        ++statMachineChecks_;
+        break;
+      case Fault::LoadAccessFault:
+      case Fault::StoreAccessFault:
+      case Fault::FetchAccessFault:
+        ++statAccessFaults_;
+        break;
+      default:
+        ++statPageFaults_;
+        break;
+    }
+}
 
 } // namespace hpmp
 

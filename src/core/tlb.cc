@@ -39,6 +39,24 @@ Tlb::fill(Addr va, Addr pa_base, Perm perm, Perm phys_perm, bool user,
     entry.gPerm = g_perm;
     entry.user = user;
     entry.valid = true;
+    for (AccessType type :
+         {AccessType::Load, AccessType::Store, AccessType::Fetch}) {
+        const unsigned t = unsigned(type);
+        if (perm.allows(type)) {
+            // Leaf permission granted: U pages serve U-mode, non-U
+            // pages S-mode, and with SUM set S-mode may also load and
+            // store (never fetch) U pages; M-mode skips the U check.
+            if (user)
+                entry.pageOk |= 1u << (3 * unsigned(PrivMode::User) + t);
+            if (!user || type != AccessType::Fetch)
+                entry.pageOk |=
+                    1u << (3 * unsigned(PrivMode::Supervisor) + t);
+            entry.pageOk |= 1u << (3 * unsigned(PrivMode::Machine) + t);
+        }
+        entry.gOk |= uint8_t(g_perm.allows(type) << t);
+        entry.physOk |= uint8_t(phys_perm.allows(type) << t);
+    }
+    clearMemo();
 
     // An existing entry that already translates va is replaced in
     // place (a refill after the mapping changed under the TLB).
@@ -73,6 +91,7 @@ void
 Tlb::flushAll()
 {
     DPRINTF(Tlb, "flushAll\n");
+    clearMemo();
     for (auto &entry : l1_)
         entry.valid = false;
     l1Index_.clear();
@@ -86,6 +105,7 @@ Tlb::flushAll()
 void
 Tlb::flushPage(Addr va)
 {
+    clearMemo();
     const uint64_t vpn = pageNumber(va);
     for (unsigned lvl = 0; lvl < kMaxLeafLevels; ++lvl) {
         if (levelCount_[lvl] == 0)

@@ -51,11 +51,33 @@ struct TlbEntry
     bool user = false;
     bool valid = false;
 
-    /** True iff this entry translates va. */
-    bool
-    matches(Addr va) const
+    /**
+     * Allow masks precomputed by Tlb::fill from the fields above, so
+     * a hit tests bits instead of rebuilding the checks. pageOk has
+     * bit 3*priv + type set iff the leaf permission and U bit allow
+     * that access (SUM set: S-mode may load/store, not fetch, U
+     * pages); gOk and physOk have bit type set iff gPerm / physPerm
+     * allow it.
+     */
+    uint16_t pageOk = 0;
+    uint8_t gOk = 0;
+    uint8_t physOk = 0;
+
+    /**
+     * Permission check of a hit, in the priority of the full walk:
+     * page fault, then guest page fault, then access fault.
+     */
+    Fault
+    check(PrivMode priv, AccessType type) const
     {
-        return valid && (pageNumber(va) >> (9 * level)) == vpn;
+        const unsigned t = unsigned(type);
+        if (!((pageOk >> (3 * unsigned(priv) + t)) & 1))
+            return pageFaultFor(type);
+        if (!((gOk >> t) & 1))
+            return guestPageFaultFor(type);
+        if (!((physOk >> t) & 1))
+            return accessFaultFor(type);
+        return Fault::None;
     }
 
     /** Physical address for va (which must match). */
@@ -86,12 +108,23 @@ class Tlb
     {
         const uint64_t vpn = pageNumber(va);
 
+        // The memoized slot is the MRU slot, so the LRU touch a scan
+        // hit would make cannot change the order: skip the scan.
+        if (vpn == memoVpn_) {
+            ++l1Hits_;
+            if (level)
+                *level = TlbHitLevel::L1;
+            return &l1_[memoSlot_];
+        }
+
         for (uint32_t mask = levelMask_; mask; mask &= mask - 1) {
             const unsigned lvl = unsigned(std::countr_zero(mask));
             const uint32_t slot =
                 l1Index_.find(keyFor(vpn >> (9 * lvl), lvl));
             if (slot != LruIndex::kNone) {
                 l1Index_.touch(slot);
+                memoVpn_ = vpn;
+                memoSlot_ = slot;
                 ++l1Hits_;
                 if (level)
                     *level = TlbHitLevel::L1;
@@ -161,6 +194,7 @@ class Tlb
     {
         if (l1Entries_ == 0)
             return nullptr;
+        clearMemo();
         const uint32_t slot =
             l1Index_.insert(keyFor(entry.vpn, entry.level));
         if (l1_[slot].valid)
@@ -169,6 +203,9 @@ class Tlb
         incLevel(entry.level);
         return &l1_[slot];
     }
+
+    /** Forget the last L1 hit (its slot may no longer be the MRU). */
+    void clearMemo() { memoVpn_ = kNoMemo; }
 
     void
     incLevel(unsigned level)
@@ -194,6 +231,16 @@ class Tlb
     bool l2Pow2_ = false;
     uint64_t l2Mask_ = 0;
     std::vector<TlbEntry> l2_; //!< direct mapped by vpn % l2Entries_
+
+    /**
+     * Last-hit memo: 4 KiB vpn -> the L1 slot that translated it.
+     * Valid only while that slot is the MRU slot: every L1 hit sets
+     * it, and every change to the L1 (installL1, fill, flushPage,
+     * flushAll) clears it.
+     */
+    static constexpr uint64_t kNoMemo = ~0ULL;
+    uint64_t memoVpn_ = kNoMemo;
+    uint32_t memoSlot_ = 0;
 
     Counter l1Hits_;
     Counter l2Hits_;

@@ -204,12 +204,7 @@ VirtMachine::accessInner(Addr gva, AccessType type)
     // the same checks fire as on the full-walk path.
     if (auto entry = combinedTlb_.lookup(gva)) {
         out.tlbHit = true;
-        Pte shadow = Pte::leaf(0, entry->perm, entry->user, true, true);
-        out.fault = checkLeafPerms(shadow, type, guestPriv_, true);
-        if (out.fault == Fault::None && !entry->gPerm.allows(type))
-            out.fault = guestPageFaultFor(type);
-        if (out.fault == Fault::None && !entry->physPerm.allows(type))
-            out.fault = accessFaultFor(type);
+        out.fault = entry->check(guestPriv_, type);
         if (out.fault != Fault::None)
             return out;
         const Addr spa = entry->translate(gva);

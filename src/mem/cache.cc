@@ -43,6 +43,7 @@ Cache::fillVictim(Line *base, uint64_t tag, bool is_write)
     }
     panic_if(!victim, "all ways locked in set");
 
+    clearMemo();
     ++misses_;
     victim->valid = true;
     victim->tag = tag;
@@ -66,6 +67,7 @@ Cache::probe(Addr pa) const
 void
 Cache::touch(Addr pa)
 {
+    clearMemo();
     const uint64_t set = setIndex(pa);
     const uint64_t tag = tagOf(pa);
     Line *base = &lines_[set * params_.assoc];
@@ -96,6 +98,7 @@ Cache::touch(Addr pa)
 bool
 Cache::lockLine(Addr pa)
 {
+    clearMemo();
     const uint64_t set = setIndex(pa);
     const uint64_t tag = tagOf(pa);
     Line *base = &lines_[set * params_.assoc];
@@ -124,6 +127,7 @@ Cache::lockLine(Addr pa)
 void
 Cache::unlockLine(Addr pa)
 {
+    clearMemo();
     const uint64_t set = setIndex(pa);
     const uint64_t tag = tagOf(pa);
     Line *base = &lines_[set * params_.assoc];
@@ -139,6 +143,7 @@ Cache::unlockLine(Addr pa)
 void
 Cache::flushAll()
 {
+    clearMemo();
     for (auto &line : lines_) {
         if (line.locked) {
             // Locked lines survive flushes (the monitor's pinned
@@ -152,6 +157,7 @@ Cache::flushAll()
 void
 Cache::flushLine(Addr pa)
 {
+    clearMemo();
     const uint64_t set = setIndex(pa);
     const uint64_t tag = tagOf(pa);
     Line *base = &lines_[set * params_.assoc];

@@ -44,18 +44,25 @@ class Cache
     bool
     access(Addr pa, bool is_write)
     {
+        const uint64_t line_no = lineNumber(pa);
+        if (line_no == memoLine_) {
+            hit(lines_[memoIndex_], is_write);
+            return true;
+        }
+
         const uint64_t set = setIndex(pa);
         const uint64_t tag = tagOf(pa);
-        Line *base = &lines_[set * params_.assoc];
+        const uint64_t first = set * params_.assoc;
+        Line *base = &lines_[first];
 
         // Hit scan first; victim selection only runs on a miss,
         // keeping the (far more common) hit path tight.
         for (unsigned way = 0; way < params_.assoc; ++way) {
             Line &line = base[way];
             if (line.valid && line.tag == tag) {
-                line.lru = ++lruClock_;
-                line.dirty |= is_write;
-                ++hits_;
+                memoLine_ = line_no;
+                memoIndex_ = first + way;
+                hit(line, is_write);
                 return true;
             }
         }
@@ -108,6 +115,18 @@ class Cache
 
     uint64_t lineNumber(Addr pa) const { return pa >> lineShift_; }
 
+    /** Every side effect of a hit: LRU stamp, dirty bit, hit count. */
+    void
+    hit(Line &line, bool is_write)
+    {
+        line.lru = ++lruClock_;
+        line.dirty |= is_write;
+        ++hits_;
+    }
+
+    /** Forget the last hit (its line may be replaced or invalid). */
+    void clearMemo() { memoLine_ = kNoMemo; }
+
     /** Miss path of access(): pick a victim way and refill it. */
     void fillVictim(Line *base, uint64_t tag, bool is_write);
 
@@ -136,6 +155,16 @@ class Cache
     std::vector<Line> lines_; //!< numSets_ x assoc, row-major
     uint64_t lruClock_ = 0;
     uint64_t lockedLines_ = 0;
+
+    /**
+     * Last-hit memo: line number -> index into lines_ of the line
+     * that holds it. Set by every scanned hit; cleared by every
+     * change to the lines (fillVictim, touch, flushLine, flushAll,
+     * lockLine, unlockLine), so it always names a valid line.
+     */
+    static constexpr uint64_t kNoMemo = ~0ULL;
+    uint64_t memoLine_ = kNoMemo;
+    uint64_t memoIndex_ = 0;
 
     Counter hits_;
     Counter misses_;

@@ -178,10 +178,8 @@ PhysMem::clearPoisonLine(Addr addr)
 }
 
 bool
-PhysMem::isPoisoned(Addr addr, uint64_t len) const
+PhysMem::poisonedRange(Addr addr, uint64_t len) const
 {
-    if (poison_.empty() || len == 0)
-        return false;
     checkRange(addr, len);
     Addr granule = addr & ~(kPoisonGranule - 1);
     const Addr last = (addr + len - 1) & ~(kPoisonGranule - 1);

@@ -86,7 +86,11 @@ class PhysMem
     void clearPoisonLine(Addr addr);
 
     /** Whether [addr, addr+len) overlaps any poisoned granule. */
-    bool isPoisoned(Addr addr, uint64_t len = 1) const;
+    bool
+    isPoisoned(Addr addr, uint64_t len = 1) const
+    {
+        return !poison_.empty() && len != 0 && poisonedRange(addr, len);
+    }
 
     /** Number of pages carrying at least one poisoned granule. */
     size_t poisonedPages() const { return poison_.size(); }
@@ -97,6 +101,8 @@ class PhysMem
     Page &pageFor(Addr addr);
     const Page *pageForConst(Addr addr) const;
     void checkRange(Addr addr, uint64_t len) const;
+    /** isPoisoned's granule scan, once some page carries poison. */
+    bool poisonedRange(Addr addr, uint64_t len) const;
 
     uint64_t size_;
     std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;

@@ -61,9 +61,9 @@ WalkResult walkPageTable(PhysMem &mem, Addr root_pa, Addr va,
                          const WalkConfig &config);
 
 /**
- * Permission check of a leaf PTE against access type and privilege;
- * shared between the walker and the TLB hit path (where it runs on
- * every hit, hence inline).
+ * Permission check of a leaf PTE against access type and privilege,
+ * for both walkers. TLB hits test the allow masks Tlb::fill derives
+ * from the same rules (TlbEntry::check).
  */
 inline Fault
 checkLeafPerms(const Pte &pte, AccessType type, PrivMode priv,

@@ -7,12 +7,36 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "base/stats.h"
 
 namespace hpmp
 {
 namespace
 {
+
+/** The shift loop bucketOf replaced: the value's bit width. */
+unsigned
+referenceBucketOf(uint64_t v)
+{
+    unsigned width = 0;
+    for (; v; v >>= 1)
+        ++width;
+    return width;
+}
+
+TEST(Distribution, BucketOfEqualsShiftLoop)
+{
+    std::vector<uint64_t> values = {0, 1, UINT64_MAX};
+    for (unsigned k = 1; k < 64; ++k) {
+        values.push_back((1ull << k) - 1);
+        values.push_back(1ull << k);
+        values.push_back((1ull << k) + 1);
+    }
+    for (uint64_t v : values)
+        EXPECT_EQ(Distribution::bucketOf(v), referenceBucketOf(v)) << v;
+}
 
 TEST(Distribution, BucketEdges)
 {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/fault_inject.h"
 #include "core/machine.h"
 #include "pmpt/pmp_table.h"
 #include "pt/page_table.h"
@@ -235,6 +236,77 @@ TEST(MachineMore, TlbInliningBlocksEscalation)
     ASSERT_TRUE(rig.machine.access(kVa, AccessType::Load).ok());
     const auto store = rig.machine.access(kVa, AccessType::Store);
     EXPECT_EQ(store.fault, Fault::StoreAccessFault);
+}
+
+/** Leaves the process-wide injector disabled, however a test ends. */
+struct InjectorGuard
+{
+    ~InjectorGuard() { FaultInjector::instance().disable(); }
+};
+
+TEST(MachineMore, PoisonOnFillFiresOnWalkAndTlbHitData)
+{
+    InjectorGuard guard;
+    FaultInjector &injector = FaultInjector::instance();
+    Rig rig(rocketParams(), IsolationScheme::Hpmp);
+    PhysMem &mem = rig.machine.mem();
+    injector.enable(11);
+
+    // Armed by name: the data reference of a walk consumes the poison
+    // it plants, and the faulting access installs no translation.
+    injector.armNth("ras.poison_on_fill", 1);
+    const auto walk = rig.machine.access(kVa + 0x40, AccessType::Load);
+    EXPECT_FALSE(walk.tlbHit);
+    EXPECT_EQ(walk.fault, Fault::MachineCheck);
+    EXPECT_EQ(walk.poisonOrigin, RefOrigin::Data);
+    EXPECT_EQ(walk.poisonAddr, kData + 0x40);
+    mem.clearPoison(kData);
+
+    // An unarmed walk fills the TLB; the next armed hit is a TLB hit.
+    const auto fill = rig.machine.access(kVa, AccessType::Load);
+    ASSERT_TRUE(fill.ok());
+    EXPECT_FALSE(fill.tlbHit);
+    injector.armNth("ras.poison_on_fill", 1);
+    const auto hit = rig.machine.access(kVa + 0x80, AccessType::Store);
+    EXPECT_TRUE(hit.tlbHit);
+    EXPECT_EQ(hit.fault, Fault::MachineCheck);
+    EXPECT_EQ(hit.poisonOrigin, RefOrigin::Data);
+    EXPECT_EQ(hit.poisonAddr, kData + 0x80);
+    EXPECT_TRUE(mem.isPoisoned(kData + 0x80));
+    EXPECT_EQ(rig.machine.stats().get("machine_checks"), 2u);
+    EXPECT_EQ(injector.hits("ras.poison_on_fill"), 3u);
+}
+
+TEST(MachineMore, PoisonOnFillIsEvaluatedOnEveryDataReference)
+{
+    InjectorGuard guard;
+    FaultInjector &injector = FaultInjector::instance();
+    Rig rig(rocketParams(), IsolationScheme::Hpmp);
+    rig.pt.map(kVa + 2_MiB, kData + 2_MiB, Perm::rw(), true);
+
+    // Enabled but unarmed: every data reference, hit or walk, is one
+    // hit of the site, and nothing is poisoned.
+    injector.enable(12);
+    const uint64_t data0 = rig.machine.refAttr().count(RefOrigin::Data);
+    for (unsigned i = 0; i < 64; ++i) {
+        const Addr va = (i % 3 ? kVa : kVa + 2_MiB) + 8 * i;
+        ASSERT_TRUE(rig.machine.access(va, AccessType::Load).ok());
+    }
+    const uint64_t data_refs =
+        rig.machine.refAttr().count(RefOrigin::Data) - data0;
+    EXPECT_EQ(data_refs, 64u);
+    EXPECT_EQ(injector.hits("ras.poison_on_fill"), data_refs);
+    EXPECT_EQ(rig.machine.mem().poisonedPages(), 0u);
+
+    // Disabled: the same run evaluates no site at all.
+    injector.disable();
+    rig.machine.coldReset();
+    for (unsigned i = 0; i < 64; ++i) {
+        const Addr va = (i % 3 ? kVa : kVa + 2_MiB) + 8 * i;
+        ASSERT_TRUE(rig.machine.access(va, AccessType::Load).ok());
+    }
+    EXPECT_EQ(injector.hits("ras.poison_on_fill"), 0u);
+    EXPECT_EQ(injector.totalHits(), 0u);
 }
 
 } // namespace
