@@ -176,50 +176,43 @@ Machine::accessMiss(Addr va, AccessType type)
         return out;
     }
 
-    // TLB miss: functional walk first, then replay its references
-    // through the PWC, the protection checker and the hierarchy.
+    // TLB miss: one pass over the page table. Each level takes its
+    // PTE from the PWC, or charges the reference and reads it.
+    struct Port : StagePort
+    {
+        Machine &m;
+        Addr va;
+        AccessOutcome &out;
+
+        std::optional<Pte>
+        lookup(unsigned level)
+        {
+            const std::optional<Pte> pte = m.pwc_->lookup(level, va);
+            out.pwcSkips += pte.has_value();
+            return pte;
+        }
+
+        Fault
+        charge(Addr pa, AccessType type, unsigned level)
+        {
+            const bool ad = type == AccessType::Store;
+            const Fault fault = m.chargeRef(
+                pa, type, ad ? RefOrigin::AdUpdate : ptOrigin(level),
+                m.attr_, out);
+            if (fault == Fault::None)
+                ++(ad ? out.adRefs : out.ptRefs);
+            return fault;
+        }
+
+        void fill(unsigned lvl, Pte pte) { m.pwc_->fill(lvl, va, pte); }
+        void refresh(unsigned lvl, Pte pte) { m.pwc_->refresh(lvl, va, pte); }
+    };
+
     WalkConfig config;
     config.mode = mode_;
-    WalkResult walk = walkPageTable(*mem_, satpRoot_, va, type, priv_,
-                                    config);
-
-    for (const PtRef &ref : walk.refs) {
-        if (!ref.write) {
-            if (pwc_->lookup(ref.level, va)) {
-                ++out.pwcSkips;
-                continue;
-            }
-        }
-        // The walker's reference must itself pass the physical check.
-        const AccessType ref_type =
-            ref.write ? AccessType::Store : AccessType::Load;
-        out.fault = checkPhys(ref.pa, ref_type, out);
-        // Poisoned PT page: the walker consumed the error. Checked
-        // before the PWC fill below so poison-derived PTEs are never
-        // cached.
-        if (out.fault == Fault::None) {
-            out.fault = consumePoison(ref.pa, 8,
-                                      ref.write ? RefOrigin::AdUpdate
-                                                : ptOrigin(ref.level),
-                                      out);
-        }
-        if (out.fault != Fault::None)
-            return out;
-
-        const uint64_t ref_cycles = hier_->access(ref.pa, ref.write).cycles;
-        out.cycles += ref_cycles;
-        if (ref.write) {
-            attr_.record(RefOrigin::AdUpdate, ref_cycles);
-            ++out.adRefs;
-        } else {
-            attr_.record(ptOrigin(ref.level), ref_cycles);
-            ++out.ptRefs;
-            const Pte pte{mem_->read64(ref.pa)};
-            if (pte.v())
-                pwc_->fill(ref.level, va, pte);
-        }
-    }
-
+    Port port{{}, *this, va, out};
+    const StageWalk walk = walkStage(*mem_, port, satpRoot_, va, type,
+                                     priv_, config);
     if (!walk.ok()) {
         out.fault = walk.fault;
         return out;

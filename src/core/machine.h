@@ -7,10 +7,11 @@
  * reference streams of the paper's Figures 2 and 4:
  *
  *   - TLB hit: inlined permission, data reference only.
- *   - TLB miss: one reference per page-table level (modulo PWC hits),
- *     each preceded by a physical permission check; then the data
- *     reference with its own check. In table mode every check costs
- *     up to two pmpte references through the same cache hierarchy.
+ *   - TLB miss: one walkStage() pass over the page table. Each level
+ *     takes its PTE from the PWC, or makes one reference preceded by
+ *     a physical permission check; then the data reference with its
+ *     own check. In table mode every check costs up to two pmpte
+ *     references through the same cache hierarchy.
  *
  * The isolation *scheme* is not machine state — it is whatever the
  * secure monitor programmed into the HPMP entries. The machine simply
@@ -176,6 +177,40 @@ class Machine
     Fault checkPhys(Addr pa, AccessType type, AccessOutcome &out);
 
     /**
+     * The memory side of one reference whose protection check passed
+     * (or is inlined in a TLB entry): poison, consumed fail-closed,
+     * then the hierarchy access, recorded under `origin` in `attr`.
+     * `out` is an AccessOutcome or a VirtAccessOutcome.
+     */
+    template <class Outcome>
+    Fault
+    memRef(Addr pa, AccessType type, RefOrigin origin, RefAttribution &attr,
+           Outcome &out)
+    {
+        if (consumePoison(pa, 8, origin, out) != Fault::None)
+            return Fault::MachineCheck;
+        const uint64_t ref_cycles =
+            hier_->access(pa, type == AccessType::Store,
+                          type == AccessType::Fetch).cycles;
+        out.cycles += ref_cycles;
+        attr.record(origin, ref_cycles);
+        return Fault::None;
+    }
+
+    /**
+     * Charge one reference of a walk: the physical check, then
+     * memRef. Shared by the native and the two-stage walk.
+     */
+    Fault
+    chargeRef(Addr pa, AccessType type, RefOrigin origin,
+              RefAttribution &attr, AccessOutcome &out)
+    {
+        const Fault fault = checkPhys(pa, type, out);
+        return fault != Fault::None ? fault
+                                    : memRef(pa, type, origin, attr, out);
+    }
+
+    /**
      * Functional probe of the physical permission triple for a page
      * (used for TLB inlining; costs nothing).
      */
@@ -226,8 +261,8 @@ class Machine
 
     /**
      * The data/instruction reference at pa, its protection check
-     * already passed: poison check, then the hierarchy access, its
-     * attribution and dataRefs. Sets out.fault.
+     * already passed: the ras.poison_on_fill site, memRef and
+     * dataRefs. Sets out.fault.
      */
     void dataRef(Addr pa, AccessType type, AccessOutcome &out);
 
@@ -237,9 +272,9 @@ class Machine
      * uncorrectable-error mark, None otherwise. Fail closed: the
      * faulting reference never returns data.
      */
+    template <class Outcome>
     Fault
-    consumePoison(Addr pa, uint64_t len, RefOrigin origin,
-                  AccessOutcome &out)
+    consumePoison(Addr pa, uint64_t len, RefOrigin origin, Outcome &out)
     {
         if (!mem_->isPoisoned(pa, len))
             return Fault::None;
@@ -313,15 +348,9 @@ Machine::dataRef(Addr pa, AccessType type, AccessOutcome &out)
     // ras.poison_on_fill fires only when armed by name.
     if (FAULT_POINT_NAMED("ras.poison_on_fill"))
         mem_->poisonLine(pa);
-    out.fault = consumePoison(pa, 8, RefOrigin::Data, out);
-    if (out.fault != Fault::None)
-        return;
-    const uint64_t data_cycles =
-        hier_->access(pa, type == AccessType::Store,
-                      type == AccessType::Fetch).cycles;
-    out.cycles += data_cycles;
-    attr_.record(RefOrigin::Data, data_cycles);
-    out.dataRefs = 1;
+    out.fault = memRef(pa, type, RefOrigin::Data, attr_, out);
+    if (out.fault == Fault::None)
+        out.dataRefs = 1;
 }
 
 inline void

@@ -3,10 +3,11 @@
  * Page-Walk Cache (the "PTECache" of Table 1).
  *
  * Fully-associative LRU cache of PTEs keyed by (level, va-prefix). A
- * hit at level L means the walker can skip the memory reference for
- * the level-L entry — including, in protected schemes, the permission
- * check that reference would have needed, which is the interaction
- * Fig. 17 studies.
+ * hit at level L supplies the level-L PTE to the walker, which skips
+ * the memory reference for it — including, in protected schemes, the
+ * permission check that reference would have needed, which is the
+ * interaction Fig. 17 studies. The cache is authoritative: until a
+ * flush, the walker uses the cached PTE even if memory has changed.
  *
  * Lookups are O(1): the (level, tag) keys live in an LruIndex hash
  * rather than being scanned linearly, with unchanged hit/miss and
@@ -43,6 +44,17 @@ class Pwc
 
     /** Install the PTE read at `level` for `va`. */
     void fill(unsigned level, Addr va, Pte pte);
+
+    /** After an A/D store: overwrite a cached PTE, no LRU touch. */
+    void
+    refresh(unsigned level, Addr va, Pte pte)
+    {
+        if (!enabled())
+            return;
+        const uint32_t slot = index_.find(keyFor(level, va));
+        if (slot != LruIndex::kNone)
+            ptes_[slot] = pte;
+    }
 
     /** Invalidate the entry covering va at level, if present. */
     void invalidate(unsigned level, Addr va);

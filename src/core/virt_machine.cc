@@ -46,27 +46,6 @@ VirtMachine::VirtMachine(std::unique_ptr<Machine> owned, Machine *host,
     combinedTlb_.registerStats(tlbStats_);
     gStageTlb_.registerStats(gtlbStats_);
     vsPwc_.registerStats(vsPwcStats_);
-
-    gtlbHooks_.lookup =
-        [this](Addr gpa_page, AccessType t) -> std::optional<GStageHit> {
-        if (auto e = gStageTlb_.lookup(gpa_page)) {
-            // Enforce the cached G-stage leaf permission: a miss here
-            // routes the access to the full G-stage walk, which
-            // raises the proper guest page fault.
-            if (e->perm.allows(t))
-                return GStageHit{pageAddr(e->ppn), e->perm};
-        }
-        return std::nullopt;
-    };
-    gtlbHooks_.fill = [this](Addr gpa_page, Addr spa_page, Perm perm) {
-        gStageTlb_.fill(gpa_page, spa_page, perm, Perm::rwx(), true);
-    };
-    pwcHooks_.lookup = [this](unsigned level, Addr va) {
-        return vsPwc_.lookup(level, va);
-    };
-    pwcHooks_.fill = [this](unsigned level, Addr va, Pte pte) {
-        vsPwc_.fill(level, va, pte);
-    };
 }
 
 void
@@ -195,8 +174,6 @@ VirtAccessOutcome
 VirtMachine::accessInner(Addr gva, AccessType type)
 {
     VirtAccessOutcome out;
-    const bool is_store = type == AccessType::Store;
-    const bool is_fetch = type == AccessType::Fetch;
 
     // Combined-TLB hit: inlined permissions, data reference only. The
     // entry carries the real VS-stage U bit / permissions, the real
@@ -205,95 +182,82 @@ VirtMachine::accessInner(Addr gva, AccessType type)
     if (auto entry = combinedTlb_.lookup(gva)) {
         out.tlbHit = true;
         out.fault = entry->check(guestPriv_, type);
-        if (out.fault != Fault::None)
-            return out;
-        const Addr spa = entry->translate(gva);
-        if (machine_.mem().isPoisoned(spa, 8)) {
-            out.fault = Fault::MachineCheck;
-            out.poisonAddr = spa;
-            out.poisonOrigin = RefOrigin::Data;
-            return out;
-        }
-        const uint64_t data_cycles =
-            machine_.hier().access(spa, is_store, is_fetch).cycles;
-        out.cycles += data_cycles;
-        attr_.record(RefOrigin::Data, data_cycles);
-        out.dataRefs = 1;
+        if (out.fault == Fault::None)
+            out.fault = machine_.memRef(entry->translate(gva), type,
+                                        RefOrigin::Data, attr_, out);
+        if (out.fault == Fault::None)
+            out.dataRefs = 1;
         return out;
     }
 
-    // Full two-stage walk with the G-stage TLB and guest PWC hooks.
-    TwoStageConfig config;
-    TwoStageResult walk =
-        walkTwoStage(machine_.mem(), vsatpRoot_, hgatpRoot_, gva, type,
-                     guestPriv_, config, &gtlbHooks_, &pwcHooks_);
-    out.gTlbHits = walk.gstageTlbHits;
+    // TLB miss: one 3D walk over the guest PWC and the G-stage TLB,
+    // each supervisor-physical reference charged as it is made.
+    struct Port : TwoStagePort
+    {
+        VirtMachine &vm;
+        Addr gva;
+        VirtAccessOutcome &out;
+        AccessOutcome charged; //!< cycles, pmpte refs, poison tag
 
-    // Replay the supervisor-physical references: protection check
-    // first, then the memory reference itself.
-    AccessOutcome check_out;
-    for (const VirtRef &ref : walk.refs) {
-        const AccessType ref_type =
-            ref.kind == VirtRefKind::Data
-                ? type
-                : (ref.write ? AccessType::Store : AccessType::Load);
-        out.fault = machine_.checkPhys(ref.spa, ref_type, check_out);
-        out.cycles += check_out.cycles;
-        out.pmptRefs += check_out.pmptRefs;
-        if (out.fault == Fault::MachineCheck) {
-            // Poisoned pmpte consumed inside the physical check.
-            out.poisonAddr = check_out.poisonAddr;
-            out.poisonOrigin = check_out.poisonOrigin;
-        }
-        check_out = AccessOutcome{};
-        if (out.fault != Fault::None)
-            return out;
-
-        // Poisoned GPT/NPT page or guest data line: consumed by the
-        // two-stage walker, before any TLB/PWC state is derived from
-        // the poisoned bytes.
-        if (machine_.mem().isPoisoned(ref.spa, 8)) {
-            out.fault = Fault::MachineCheck;
-            out.poisonAddr = ref.spa;
-            switch (ref.kind) {
-              case VirtRefKind::NptPage:
-                out.poisonOrigin = nptOrigin(ref.level);
-                break;
-              case VirtRefKind::GptPage:
-                out.poisonOrigin = gptOrigin(ref.level);
-                break;
-              case VirtRefKind::Data:
-                out.poisonOrigin = RefOrigin::Data;
-                break;
-            }
-            return out;
+        std::optional<Pte>
+        vsLookup(unsigned lvl)
+        {
+            return vm.vsPwc_.lookup(lvl, gva);
         }
 
-        const uint64_t ref_cycles =
-            machine_.hier().access(ref.spa, ref.write,
-                                   ref.kind == VirtRefKind::Data &&
-                                       is_fetch).cycles;
-        out.cycles += ref_cycles;
-        switch (ref.kind) {
-          case VirtRefKind::NptPage:
-            attr_.record(nptOrigin(ref.level), ref_cycles);
-            ++out.nptRefs;
-            break;
-          case VirtRefKind::GptPage:
-            attr_.record(gptOrigin(ref.level), ref_cycles);
-            ++out.gptRefs;
-            break;
-          case VirtRefKind::Data:
-            attr_.record(RefOrigin::Data, ref_cycles);
-            ++out.dataRefs;
-            break;
-        }
-    }
+        void vsFill(unsigned lvl, Pte pte) { vm.vsPwc_.fill(lvl, gva, pte); }
 
-    if (!walk.ok()) {
-        out.fault = walk.fault;
+        void
+        vsRefresh(unsigned lvl, Pte pte)
+        {
+            vm.vsPwc_.refresh(lvl, gva, pte);
+        }
+
+        bool
+        gLookup(Addr gpa_page, AccessType type, Addr &spa_page, Perm &perm)
+        {
+            const TlbEntry *entry = vm.gStageTlb_.lookup(gpa_page);
+            if (!entry || !entry->perm.allows(type))
+                return false;
+            ++out.gTlbHits;
+            spa_page = pageAddr(entry->ppn);
+            perm = entry->perm;
+            return true;
+        }
+
+        void
+        gFill(Addr gpa_page, Addr spa_page, Perm perm)
+        {
+            vm.gStageTlb_.fill(gpa_page, spa_page, perm, Perm::rwx(), true);
+        }
+
+        Fault
+        charge(Addr spa, VirtRefKind kind, AccessType type, unsigned level)
+        {
+            const bool npt = kind == VirtRefKind::NptPage;
+            const bool gpt = kind == VirtRefKind::GptPage;
+            const RefOrigin origin = npt   ? nptOrigin(level)
+                                     : gpt ? gptOrigin(level)
+                                           : RefOrigin::Data;
+            const Fault fault =
+                vm.machine_.chargeRef(spa, type, origin, vm.attr_, charged);
+            if (fault == Fault::None)
+                ++(npt ? out.nptRefs : gpt ? out.gptRefs : out.dataRefs);
+            return fault;
+        }
+    };
+
+    Port port{{}, *this, gva, out, {}};
+    const TwoStageWalk walk =
+        walkTwoStageWith(machine_.mem(), port, vsatpRoot_, hgatpRoot_, gva,
+                         type, guestPriv_, TwoStageConfig{});
+    out.fault = walk.fault;
+    out.cycles = port.charged.cycles;
+    out.pmptRefs = port.charged.pmptRefs;
+    out.poisonAddr = port.charged.poisonAddr; // set only by a MachineCheck
+    out.poisonOrigin = port.charged.poisonOrigin;
+    if (!walk.ok())
         return out;
-    }
 
     DPRINTF(Walk,
             "3D gva=%#lx spa=%#lx npt=%u gpt=%u pmpt=%u cycles=%lu\n",

@@ -180,10 +180,6 @@ class VirtMachine
     PrivMode guestPriv_ = PrivMode::Supervisor;
     HfenceHook hfenceHook_;
 
-    /** Walk hooks, built once (std::function setup is not free). */
-    GStageTlbHooks gtlbHooks_;
-    VsPwcHooks pwcHooks_;
-
     StatGroup stats_;
     StatGroup tlbStats_;
     StatGroup gtlbStats_;

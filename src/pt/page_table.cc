@@ -67,41 +67,25 @@ PageTable::map(Addr va, Addr pa, Perm perm, bool user, unsigned level,
 bool
 PageTable::unmap(Addr va)
 {
-    Addr table = rootPa_;
-    for (unsigned lvl = levels(); lvl-- > 0;) {
-        const Addr slot = pteAddr(table, va, lvl);
-        Pte pte{mem_.read64(slot)};
-        if (!pte.v())
-            return false;
-        if (pte.isLeaf()) {
-            mem_.write64(slot, 0);
-            return true;
-        }
-        table = pte.physAddr();
-    }
-    return false;
+    const std::optional<Addr> slot = leafPteAddr(va);
+    if (slot)
+        mem_.write64(*slot, 0);
+    return slot.has_value();
 }
 
 std::optional<Addr>
 PageTable::translate(Addr va) const
 {
-    Addr table = rootPa_;
-    for (unsigned lvl = levels(); lvl-- > 0;) {
-        const Addr slot = pteAddr(table, va, lvl);
-        Pte pte{mem_.read64(slot)};
-        if (!pte.v())
-            return std::nullopt;
-        if (pte.isLeaf()) {
-            const uint64_t span = pageSizeAtLevel(lvl);
-            return pte.physAddr() + (va & (span - 1));
-        }
-        table = pte.physAddr();
-    }
-    return std::nullopt;
+    unsigned level = 0;
+    const std::optional<Addr> slot = leafPteAddr(va, &level);
+    if (!slot)
+        return std::nullopt;
+    const uint64_t span = pageSizeAtLevel(level);
+    return Pte{mem_.read64(*slot)}.physAddr() + (va & (span - 1));
 }
 
 std::optional<Addr>
-PageTable::leafPteAddr(Addr va) const
+PageTable::leafPteAddr(Addr va, unsigned *level) const
 {
     Addr table = rootPa_;
     for (unsigned lvl = levels(); lvl-- > 0;) {
@@ -109,8 +93,11 @@ PageTable::leafPteAddr(Addr va) const
         Pte pte{mem_.read64(slot)};
         if (!pte.v())
             return std::nullopt;
-        if (pte.isLeaf())
+        if (pte.isLeaf()) {
+            if (level)
+                *level = lvl;
             return slot;
+        }
         table = pte.physAddr();
     }
     return std::nullopt;

@@ -62,8 +62,11 @@ class PageTable
     /** Physical addresses of every page-table page, root first. */
     const std::vector<Addr> &ptPages() const { return ptPages_; }
 
-    /** Physical address of the leaf PTE covering va, for direct edits. */
-    std::optional<Addr> leafPteAddr(Addr va) const;
+    /**
+     * Physical address of the leaf PTE covering va, for direct edits;
+     * `level` (when non-null) receives the leaf's level.
+     */
+    std::optional<Addr> leafPteAddr(Addr va, unsigned *level = nullptr) const;
 
   private:
     unsigned levels() const { return ptLevels(mode_); }

@@ -4,20 +4,20 @@
  * extension: guest page table (vsatp, Sv39) walked through the nested
  * page table (hgatp, Sv39x4).
  *
- * Produces the 3D-walk reference stream of the paper's Figure 8: each
- * guest-PT access is a guest-physical address that itself requires a
- * G-stage walk (nL2/nL1/nL0), for 16 references total on Sv39/Sv39x4.
- * An optional G-stage TLB hook lets the timing machine model hfence
- * semantics (hfence.vvma keeps G-stage translations cached, hfence.gvma
- * drops them).
+ * Both stages are walkStage() passes: the VS stage locates each
+ * guest-PT slot with a G-stage translation, and the data reference
+ * takes one more. Together they make the 3D-walk reference stream of
+ * the paper's Figure 8 (3 NPT references per G-stage walk, 16 in all
+ * on Sv39/Sv39x4). The caller's port supplies the guest PWC and the
+ * G-stage TLB the timing machine uses for hfence semantics
+ * (hfence.vvma keeps G-stage translations cached, hfence.gvma drops
+ * them) and charges every reference as the walk makes it.
  */
 
 #ifndef HPMP_PT_TWO_STAGE_H
 #define HPMP_PT_TWO_STAGE_H
 
-#include <functional>
 #include <optional>
-#include <vector>
 
 #include "pt/walker.h"
 
@@ -36,25 +36,23 @@ struct VirtRef
     unsigned level = 0;
 };
 
-/** Result of a two-stage walk. */
-struct TwoStageResult
+/** Outcome of a two-stage walk. */
+struct TwoStageWalk
 {
     Fault fault = Fault::None;
     Addr gpa = 0;  //!< final guest-physical address
     Addr spa = 0;  //!< final supervisor-physical address
     Perm perm;     //!< effective permission (VS-stage leaf)
-    Perm gPerm = Perm::rwx(); //!< G-stage leaf permission of the data
-                              //!< translation
     bool user = false;        //!< VS-stage leaf U bit
     unsigned vsLeafLevel = 0; //!< VS-stage leaf level (0 = 4 KiB)
     /**
-     * G-stage leaf level of the data translation. 0 when served from
-     * the G-stage TLB hook, which caches at 4 KiB granularity.
+     * G-stage leaf permission and level of the data translation (of
+     * the last G-stage translation until the walk succeeds). Level 0
+     * when served from the G-stage TLB, which caches at 4 KiB.
      */
+    Perm gPerm = Perm::rwx();
     unsigned gLeafLevel = 0;
-    SmallVec<VirtRef, 40> refs;
-    unsigned gstageWalks = 0;    //!< G-stage walks actually performed
-    unsigned gstageTlbHits = 0;  //!< walks short-circuited by the hook
+    unsigned gstageWalks = 0; //!< G-stage walks actually performed
 
     bool ok() const { return fault == Fault::None; }
 
@@ -69,37 +67,33 @@ struct TwoStageResult
     }
 };
 
-/** One cached G-stage translation handed back by the lookup hook. */
-struct GStageHit
+/** Result of walkTwoStage: the walk plus the references it made. */
+struct TwoStageResult : TwoStageWalk
 {
-    Addr spaPage = 0; //!< supervisor-physical page base
-    Perm perm;        //!< G-stage leaf permission
+    SmallVec<VirtRef, 40> refs;
 };
 
 /**
- * G-stage translation cache hooks (4 KiB granularity): lookup returns
- * the supervisor-physical page base and G-stage leaf permission for a
- * guest-physical page base, or nullopt — including when the cached
- * permission does not allow `type`, so the full (and correctly
- * faulting) G-stage walk runs instead; fill is invoked after each
- * performed G-stage walk with the real leaf permission.
+ * The port a two-stage walk runs over, with the defaults of a walk
+ * without a guest PWC or G-stage TLB. A caller derives from it, hides
+ * what it caches, and adds StagePort's charge() with the reference's
+ * kind (`type` is the access type for the data reference):
+ *   Fault charge(Addr spa, VirtRefKind kind, AccessType type,
+ *                unsigned level);
  */
-struct GStageTlbHooks
+struct TwoStagePort
 {
-    std::function<std::optional<GStageHit>(Addr gpa_page,
-                                           AccessType type)> lookup;
-    std::function<void(Addr gpa_page, Addr spa_page, Perm perm)> fill;
-};
-
-/**
- * Guest-side page-walk-cache hooks: a hit for (level, gva) supplies
- * the guest PTE directly, skipping both the guest-PT reference and
- * the G-stage walk that locating it would have required.
- */
-struct VsPwcHooks
-{
-    std::function<std::optional<Pte>(unsigned level, Addr gva)> lookup;
-    std::function<void(unsigned level, Addr gva, Pte pte)> fill;
+    /** Guest PWC: lookup, fill and A/D refresh, as in StagePort. */
+    std::optional<Pte> vsLookup(unsigned) { return std::nullopt; }
+    void vsFill(unsigned, Pte) {}
+    void vsRefresh(unsigned, Pte) {}
+    /**
+     * G-stage TLB (4 KiB pages): the spa page and leaf permission
+     * cached for `gpa_page`. A permission that does not allow `type`
+     * is a miss, so the (correctly faulting) G-stage walk runs.
+     */
+    bool gLookup(Addr, AccessType, Addr &, Perm &) { return false; }
+    void gFill(Addr, Addr, Perm) {}
 };
 
 /** Configuration of both stages. */
@@ -124,22 +118,126 @@ enum class VirtFaultOrigin : uint8_t
     Phys,       //!< physical access fault (PMP / pmpte / bounds)
 };
 
-/** Classify a fault code by the translation stage that raised it. */
-VirtFaultOrigin virtFaultOrigin(Fault fault);
-
 /** Human-readable origin name for diagnostics. */
 const char *toString(VirtFaultOrigin origin);
 
+namespace two_stage_detail
+{
+
+/** The G stage over a two-stage port: no cache, NPT references. */
+template <class Port>
+struct GStage : StagePort
+{
+    Port &port;
+
+    Fault
+    charge(Addr spa, AccessType type, unsigned level)
+    {
+        return port.charge(spa, VirtRefKind::NptPage, type, level);
+    }
+
+    static Fault pteFault(AccessType type) { return guestPageFaultFor(type); }
+};
+
 /**
- * Walk guest virtual address `gva` for an access of `type` in guest
- * privilege `priv`, using the guest table rooted at `vsatp_root` and
- * the nested table rooted at `hgatp_root`.
+ * The VS stage over a two-stage port: the guest PWC, guest-PT slots
+ * located through the G stage, GPT references.
+ */
+template <class Port>
+struct VsStage : StagePort
+{
+    PhysMem &mem;
+    Port &port;
+    Addr hgatpRoot;
+    const TwoStageConfig &config;
+    TwoStageWalk &out;
+
+    std::optional<Pte> lookup(unsigned lvl) { return port.vsLookup(lvl); }
+    void fill(unsigned lvl, Pte pte) { port.vsFill(lvl, pte); }
+    void refresh(unsigned lvl, Pte pte) { port.vsRefresh(lvl, pte); }
+    Fault locate(Addr &slot, AccessType type) { return gTranslate(slot, type); }
+
+    Fault
+    charge(Addr spa, AccessType type, unsigned level)
+    {
+        return port.charge(spa, VirtRefKind::GptPage, type, level);
+    }
+
+    /**
+     * G-stage translation of `addr` (gpa in, spa out) for `type`: the
+     * port's G-stage TLB, else a G-stage walk that fills it. Records
+     * the leaf permission and level (0 on a TLB hit) in `out`.
+     */
+    Fault
+    gTranslate(Addr &addr, AccessType type)
+    {
+        const Addr gpa_page = alignDown(addr, kPageSize);
+        Addr spa_page = 0;
+        if (port.gLookup(gpa_page, type, spa_page, out.gPerm)) {
+            out.gLeafLevel = 0;
+            addr = spa_page + pageOffset(addr);
+            return Fault::None;
+        }
+
+        // G-stage PTEs behave as user-accessible mappings (the spec
+        // requires U=1 on G-stage leaves), so walk in user privilege.
+        GStage<Port> g{{}, port};
+        const StageWalk walk = walkStage(mem, g, hgatpRoot, addr, type,
+                                         PrivMode::User, config.gStage);
+        ++out.gstageWalks;
+        if (!walk.ok())
+            return walk.fault;
+        port.gFill(gpa_page, alignDown(walk.pa, kPageSize), walk.perm);
+        addr = walk.pa;
+        out.gPerm = walk.perm;
+        out.gLeafLevel = walk.leafLevel;
+        return Fault::None;
+    }
+};
+
+} // namespace two_stage_detail
+
+/**
+ * The 3D walk of guest virtual address `gva` for an access of `type`
+ * in guest privilege `priv` over `port`: the VS-stage walk of the
+ * guest table rooted at `vsatp_root`, each guest-PT slot located
+ * through the G stage of the nested table rooted at `hgatp_root`,
+ * then the G-stage translation and charge of the data reference.
+ */
+template <class Port>
+TwoStageWalk
+walkTwoStageWith(PhysMem &mem, Port &port, Addr vsatp_root,
+                 Addr hgatp_root, Addr gva, AccessType type, PrivMode priv,
+                 const TwoStageConfig &config)
+{
+    TwoStageWalk result;
+    two_stage_detail::VsStage<Port> vs{{}, mem, port, hgatp_root, config,
+                                       result};
+    const StageWalk walk = walkStage(mem, vs, vsatp_root, gva, type, priv,
+                                     config.vsStage);
+    result.fault = walk.fault;
+    if (!walk.ok())
+        return result;
+    result.gpa = result.spa = walk.pa;
+    result.perm = walk.perm;
+    result.user = walk.user;
+    result.vsLeafLevel = walk.leafLevel;
+
+    // The final data access also translates through the G-stage.
+    result.fault = vs.gTranslate(result.spa, type);
+    if (result.fault == Fault::None)
+        result.fault = port.charge(result.spa, VirtRefKind::Data, type, 0);
+    return result;
+}
+
+/**
+ * Functional, cache-less 3D walk of `gva` that records every
+ * supervisor-physical reference it makes (walkTwoStageWith over a
+ * port without caches). Writes A/D bits of both stages to PhysMem.
  */
 TwoStageResult walkTwoStage(PhysMem &mem, Addr vsatp_root, Addr hgatp_root,
                             Addr gva, AccessType type, PrivMode priv,
-                            const TwoStageConfig &config,
-                            const GStageTlbHooks *tlb = nullptr,
-                            const VsPwcHooks *pwc = nullptr);
+                            const TwoStageConfig &config);
 
 } // namespace hpmp
 

@@ -1,74 +1,34 @@
 #include "pt/walker.h"
 
-#include "base/logging.h"
-
 namespace hpmp
 {
+
+namespace
+{
+
+/** Cache-less port that records each reference instead of charging. */
+struct RecordingPort : StagePort
+{
+    SmallVec<PtRef, 8> &refs;
+
+    Fault
+    charge(Addr pa, AccessType type, unsigned level)
+    {
+        refs.push_back({pa, type == AccessType::Store, level});
+        return Fault::None;
+    }
+};
+
+} // namespace
 
 WalkResult
 walkPageTable(PhysMem &mem, Addr root_pa, Addr va, AccessType type,
               PrivMode priv, const WalkConfig &config)
 {
     WalkResult result;
-    const unsigned levels = ptLevels(config.mode);
-
-    Addr table = root_pa;
-    for (unsigned lvl = levels; lvl-- > 0;) {
-        const Addr slot =
-            table + vpn(va, lvl, levels, config.rootExtraBits) * 8;
-        result.refs.push_back({slot, false, lvl});
-        Pte pte{mem.read64(slot)};
-
-        if (!pte.v() || (!pte.r() && pte.w())) {
-            result.fault = pageFaultFor(type);
-            return result;
-        }
-
-        if (pte.isLeaf()) {
-            // Misaligned superpage: low PPN bits must be zero.
-            const uint64_t span_pages = pageSizeAtLevel(lvl) / kPageSize;
-            if (pte.ppn() & (span_pages - 1)) {
-                result.fault = pageFaultFor(type);
-                return result;
-            }
-            result.fault = checkLeafPerms(pte, type, priv, config.sumSet);
-            if (result.fault != Fault::None)
-                return result;
-
-            // Hardware A/D update: an extra store to the leaf PTE.
-            const bool need_a = !pte.a();
-            const bool need_d = type == AccessType::Store && !pte.d();
-            if (need_a || need_d) {
-                if (!config.hardwareAdUpdate) {
-                    result.fault = pageFaultFor(type);
-                    return result;
-                }
-                pte.setA(true);
-                if (type == AccessType::Store)
-                    pte.setD(true);
-                mem.write64(slot, pte.raw);
-                result.refs.push_back({slot, true, lvl});
-            }
-
-            const uint64_t span = pageSizeAtLevel(lvl);
-            result.pa = pte.physAddr() + (va & (span - 1));
-            result.perm = pte.perm();
-            result.user = pte.u();
-            result.leafLevel = lvl;
-            result.leafPteAddr = slot;
-            return result;
-        }
-
-        // Pointer PTE: A/D/U must be clear per the spec; treat any set
-        // bit as a malformed table built by software (page fault).
-        if (pte.a() || pte.d() || pte.u()) {
-            result.fault = pageFaultFor(type);
-            return result;
-        }
-        table = pte.physAddr();
-    }
-
-    result.fault = pageFaultFor(type);
+    RecordingPort port{{}, result.refs};
+    static_cast<StageWalk &>(result) =
+        walkStage(mem, port, root_pa, va, type, priv, config);
     return result;
 }
 

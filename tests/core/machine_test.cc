@@ -3,7 +3,8 @@
  * End-to-end Machine tests: the reference-count invariants of the
  * paper's Figures 2 and 4 (4 refs bare, 12 refs with a 2-level
  * permission table, 6 refs with HPMP on Sv39), TLB/PWC interactions,
- * fault behaviour and permission inlining.
+ * fault behaviour, permission inlining, and the single-pass walk's
+ * authoritative PWC and checked A/D store.
  */
 
 #include <gtest/gtest.h>
@@ -213,6 +214,82 @@ TEST(MachineFaults, PhysicalDenialIsAccessFault)
 
     const auto out = machine.access(kVa, AccessType::Load);
     EXPECT_EQ(out.fault, Fault::LoadAccessFault);
+}
+
+/** Address of the level-`level` PTE of `va` in the Sv39 table at `root`. */
+Addr
+pteSlot(PhysMem &mem, Addr root, Addr va, unsigned level)
+{
+    Addr table = root;
+    for (unsigned lvl = 2; lvl > level; --lvl)
+        table = Pte{mem.read64(table + vpn(va, lvl, 3) * 8)}.physAddr();
+    return table + vpn(va, level, 3) * 8;
+}
+
+/** Physical address the TLB now translates `va` to. */
+Addr
+tlbTranslation(Machine &machine, Addr va)
+{
+    const TlbEntry *entry = machine.tlb().lookup(va);
+    return entry ? entry->translate(va) : ~Addr{0};
+}
+
+TEST(MachineWalk, PwcServesStaleNonLeafUntilSfence)
+{
+    Machine machine(rocketParams());
+    PhysMem &mem = machine.mem();
+    PageTable pt(mem, bumpAllocator(kPtPool), PagingMode::Sv39);
+    PageTable other(mem, bumpAllocator(kPtPool + 8_MiB), PagingMode::Sv39);
+    ASSERT_TRUE(pt.map(kVa, kDataBase, Perm::rw(), true));
+    ASSERT_TRUE(pt.map(kVa + kPageSize, kDataBase + kPageSize, Perm::rw(),
+                       true));
+    ASSERT_TRUE(other.map(kVa + kPageSize, kDataBase + 8 * kPageSize,
+                          Perm::rw(), true));
+    machine.hpmp().programSegment(0, 0, 16_GiB, Perm::rwx());
+    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
+    machine.setPriv(PrivMode::User);
+
+    // The walk for kVa caches the root and level-1 PTEs.
+    ASSERT_TRUE(machine.access(kVa, AccessType::Load).ok());
+
+    // Point the level-1 PTE at the other table's leaf table, without
+    // sfence.vma: the neighbour's walk still takes the cached pointer.
+    mem.write64(pteSlot(mem, pt.rootPa(), kVa, 1),
+                mem.read64(pteSlot(mem, other.rootPa(), kVa, 1)));
+    const AccessOutcome stale =
+        machine.access(kVa + kPageSize, AccessType::Load);
+    ASSERT_TRUE(stale.ok());
+    EXPECT_EQ(stale.pwcSkips, 2u);
+    EXPECT_EQ(tlbTranslation(machine, kVa + kPageSize),
+              kDataBase + kPageSize);
+
+    // After the fence the walk reads the new pointer.
+    machine.sfenceVma();
+    ASSERT_TRUE(machine.access(kVa + kPageSize, AccessType::Load).ok());
+    EXPECT_EQ(tlbTranslation(machine, kVa + kPageSize),
+              kDataBase + 8 * kPageSize);
+}
+
+TEST(MachineWalk, DeniedAdStoreLeavesPteUnchanged)
+{
+    Machine machine(rocketParams());
+    PageTable pt(machine.mem(), bumpAllocator(kPtPool), PagingMode::Sv39);
+    ASSERT_TRUE(pt.map(kVa, kDataBase, Perm::rw(), true, 0,
+                       /*accessed=*/false, /*dirty=*/false));
+    // PT pages readable but not writable: the walker may read them,
+    // but its A/D store is denied by the physical check.
+    machine.hpmp().programSegment(0, kPtPool, kPtPoolSize, Perm::ro());
+    machine.hpmp().programSegment(1, kDataBase, 1_GiB, Perm::rwx());
+    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
+    machine.setPriv(PrivMode::User);
+
+    const Addr slot = *pt.leafPteAddr(kVa);
+    const uint64_t before = machine.mem().read64(slot);
+    const AccessOutcome out = machine.access(kVa, AccessType::Load);
+    EXPECT_EQ(out.fault, Fault::StoreAccessFault);
+    EXPECT_EQ(out.ptRefs, 3u);
+    EXPECT_EQ(out.adRefs, 0u);
+    EXPECT_EQ(machine.mem().read64(slot), before);
 }
 
 } // namespace

@@ -3,11 +3,14 @@
  * Virtualized-machine tests: the reference-count reductions of §6
  * (48 -> 24 -> 18 for Sv39/Sv39x4 with a 2-level permission table),
  * hfence semantics and combined-TLB behaviour. Uses the VirtEnv
- * helper that places NPT/GPT pages in contiguous pools.
+ * helper that places NPT/GPT pages in contiguous pools, and a fixture
+ * over hand-built tables for the walk's G-stage TLB, guest PWC, A/D
+ * store and poison semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include "base/frame_alloc.h"
 #include "workloads/virt_env.h"
 
 namespace hpmp
@@ -284,6 +287,149 @@ TEST(VirtMachine, LatencyOrderingAcrossSchemes)
     EXPECT_LT(cycles[0], cycles[1]);
     EXPECT_LT(cycles[1], cycles[2]);
     EXPECT_LT(cycles[2], cycles[3]);
+}
+
+/**
+ * A VirtMachine over hand-built tables: the guest-PT pool is
+ * identity-mapped through the G stage so the guest table can be built
+ * directly in simulated memory, and all memory is physically rwx
+ * behind whatever segments a test programs into entry 0.
+ */
+class VirtWalkTest : public ::testing::Test
+{
+  protected:
+    static constexpr Addr kNptPool = 128_MiB;
+    static constexpr Addr kGptPool = 192_MiB;
+    static constexpr uint64_t kGptPoolSize = 32_MiB;
+    static constexpr Addr kGva = 0x40000000;
+    static constexpr Addr kGpa = 0x10000000;
+    static constexpr Addr kSpa = 1_GiB;
+
+    VirtWalkTest()
+        : vm(rocketParams()),
+          npt(vm.mem(), bumpAllocator(kNptPool), PagingMode::Sv39, 2),
+          gpt(vm.mem(), bumpAllocator(kGptPool), PagingMode::Sv39)
+    {
+        for (Addr gpa = kGptPool; gpa < kGptPool + kGptPoolSize;
+             gpa += kPageSize)
+            npt.map(gpa, gpa, Perm::rw(), true);
+        vm.hpmp().programSegment(1, 0, 16_GiB, Perm::rwx());
+        vm.setHgatp(npt.rootPa());
+        vm.setVsatp(gpt.rootPa());
+    }
+
+    void
+    mapGuestPage(Addr gva, Addr gpa, Addr spa, bool ad = true)
+    {
+        ASSERT_TRUE(gpt.map(gva, gpa, Perm::rw(), true, 0, ad, ad));
+        ASSERT_TRUE(npt.map(gpa, spa, Perm::rwx(), true));
+    }
+
+    VirtMachine vm;
+    PageTable npt;
+    PageTable gpt;
+};
+
+TEST_F(VirtWalkTest, GStageTlbSkipsNptWalks)
+{
+    mapGuestPage(kGva, kGpa, kSpa);
+    const VirtAccessOutcome first = vm.access(kGva, AccessType::Load);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first.gTlbHits, 0u);
+
+    // hfence.vvma drops the combined TLB and guest PWC only: all four
+    // G-stage walks now hit, leaving 3 guest-PT refs + data.
+    vm.hfenceVvma();
+    const VirtAccessOutcome second = vm.access(kGva, AccessType::Load);
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second.gTlbHits, 4u);
+    EXPECT_EQ(second.totalRefs(), 4u);
+}
+
+TEST_F(VirtWalkTest, VsPwcSkipsGuestLevels)
+{
+    mapGuestPage(kGva, kGpa, kSpa);
+    mapGuestPage(kGva + kPageSize, kGpa + kPageSize, kSpa + kPageSize);
+    ASSERT_TRUE(vm.access(kGva, AccessType::Load).ok());
+
+    // Neighbouring page with the G-stage TLB dropped: L2/L1 gptes
+    // cached -> their G-stage walks and guest refs vanish; only the
+    // L0 gpte (3 NPT + 1 GPT) and the data (3 NPT + 1 data) remain.
+    vm.gStageTlb().flushAll();
+    const VirtAccessOutcome second =
+        vm.access(kGva + kPageSize, AccessType::Load);
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second.totalRefs(), 8u);
+    EXPECT_EQ(second.gptRefs, 1u);
+}
+
+TEST_F(VirtWalkTest, PwcHitWithAdUpdateFallsBackToGStageWalk)
+{
+    // Leaf created without A/D: a store through a PWC-cached leaf PTE
+    // must re-locate the PTE through the G-stage to write A/D.
+    mapGuestPage(kGva, kGpa, kSpa, /*ad=*/false);
+    ASSERT_TRUE(vm.access(kGva, AccessType::Store).ok());
+
+    // Clear D again in memory, then let a load cache the clean-D leaf
+    // in the guest PWC.
+    const Addr slot = *gpt.leafPteAddr(kGva);
+    Pte pte{vm.mem().read64(slot)};
+    pte.setD(false);
+    vm.mem().write64(slot, pte.raw);
+    vm.hfenceVvma();
+    ASSERT_TRUE(vm.access(kGva, AccessType::Load).ok());
+
+    // The store misses the combined and G-stage TLBs but hits the
+    // guest PWC at every level: its only guest-PT reference is the
+    // A/D store, located by a G-stage walk.
+    vm.combinedTlb().flushAll();
+    vm.gStageTlb().flushAll();
+    const VirtAccessOutcome out = vm.access(kGva, AccessType::Store);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.gptRefs, 1u);
+    EXPECT_EQ(out.nptRefs, 6u);
+    EXPECT_TRUE(Pte{vm.mem().read64(slot)}.d());
+}
+
+TEST_F(VirtWalkTest, DeniedAdStoreLeavesGuestPteUnchanged)
+{
+    // Guest-PT pages readable but not writable: the walker reads them,
+    // but its A/D store is denied by the physical check.
+    vm.hpmp().programSegment(0, kGptPool, kGptPoolSize, Perm::ro());
+    mapGuestPage(kGva, kGpa, kSpa, /*ad=*/false);
+
+    const Addr slot = *gpt.leafPteAddr(kGva);
+    const uint64_t before = vm.mem().read64(slot);
+    const VirtAccessOutcome out = vm.access(kGva, AccessType::Load);
+    EXPECT_EQ(out.fault, Fault::StoreAccessFault);
+    EXPECT_EQ(out.gptRefs, 3u);
+    EXPECT_EQ(vm.mem().read64(slot), before);
+}
+
+TEST_F(VirtWalkTest, PoisonedGuestPtPageIsNeverCached)
+{
+    mapGuestPage(kGva, kGpa, kSpa);
+    const Addr slot = *gpt.leafPteAddr(kGva);
+    vm.mem().poisonLine(slot);
+
+    const VirtAccessOutcome out = vm.access(kGva, AccessType::Load);
+    EXPECT_EQ(out.fault, Fault::MachineCheck);
+    EXPECT_EQ(out.poisonAddr, slot);
+    EXPECT_EQ(out.poisonOrigin, gptOrigin(0));
+    EXPECT_FALSE(vm.vsPwc().lookup(0, kGva).has_value());
+}
+
+TEST_F(VirtWalkTest, PoisonedNptPageIsNeverCached)
+{
+    mapGuestPage(kGva, kGpa, kSpa);
+    const Addr slot = *npt.leafPteAddr(kGpa);
+    vm.mem().poisonLine(slot);
+
+    const VirtAccessOutcome out = vm.access(kGva, AccessType::Load);
+    EXPECT_EQ(out.fault, Fault::MachineCheck);
+    EXPECT_EQ(out.poisonAddr, slot);
+    EXPECT_EQ(out.poisonOrigin, nptOrigin(0));
+    EXPECT_EQ(vm.gStageTlb().lookup(kGpa), nullptr);
 }
 
 } // namespace

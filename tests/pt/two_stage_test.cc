@@ -1,7 +1,8 @@
 /**
  * @file
  * Two-stage (hypervisor) translation tests: the 16-reference 3D-walk
- * of Fig. 8, G-stage TLB short-circuiting, and fault propagation.
+ * of Fig. 8 and fault propagation. The G-stage TLB and guest PWC are
+ * VirtMachine state, tested in core/virt_machine_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -37,13 +38,11 @@ class TwoStageTest : public ::testing::Test
     }
 
     TwoStageResult
-    walk(Addr gva, AccessType type = AccessType::Load,
-         const GStageTlbHooks *tlb = nullptr,
-         const VsPwcHooks *pwc = nullptr)
+    walk(Addr gva, AccessType type = AccessType::Load)
     {
         TwoStageConfig config;
         return walkTwoStage(mem, gpt.rootPa(), npt.rootPa(), gva, type,
-                            PrivMode::Supervisor, config, tlb, pwc);
+                            PrivMode::Supervisor, config);
     }
 
     PhysMem mem;
@@ -75,63 +74,6 @@ TEST_F(TwoStageTest, SixteenReferences)
     EXPECT_EQ(result.gstageWalks, 4u);
 }
 
-TEST_F(TwoStageTest, GStageTlbSkipsNptWalks)
-{
-    mapGuestPage(0x40000000, 0x10000000, 1_GiB);
-
-    std::map<Addr, GStageHit> gtlb;
-    GStageTlbHooks hooks;
-    hooks.lookup = [&](Addr gpa, AccessType t) -> std::optional<GStageHit> {
-        auto it = gtlb.find(gpa);
-        if (it == gtlb.end() || !it->second.perm.allows(t))
-            return std::nullopt;
-        return it->second;
-    };
-    hooks.fill = [&](Addr gpa, Addr spa, Perm perm) {
-        gtlb[gpa] = GStageHit{spa, perm};
-    };
-
-    const TwoStageResult first = walk(0x40000000, AccessType::Load,
-                                      &hooks);
-    ASSERT_TRUE(first.ok());
-    EXPECT_EQ(first.gstageTlbHits, 0u);
-
-    const TwoStageResult second = walk(0x40000000, AccessType::Load,
-                                       &hooks);
-    ASSERT_TRUE(second.ok());
-    // All four G-stage walks now hit: only 3 guest-PT refs + data.
-    EXPECT_EQ(second.gstageTlbHits, 4u);
-    EXPECT_EQ(second.refs.size(), 4u);
-}
-
-TEST_F(TwoStageTest, VsPwcSkipsGuestLevels)
-{
-    mapGuestPage(0x40000000, 0x10000000, 1_GiB);
-    mapGuestPage(0x40001000, 0x10001000, 1_GiB + kPageSize);
-
-    std::map<std::pair<unsigned, Addr>, Pte> pwc_store;
-    VsPwcHooks pwc;
-    pwc.lookup = [&](unsigned level, Addr gva) -> std::optional<Pte> {
-        auto it = pwc_store.find(
-            {level, gva >> (kPageShift + 9 * level)});
-        if (it == pwc_store.end())
-            return std::nullopt;
-        return it->second;
-    };
-    pwc.fill = [&](unsigned level, Addr gva, Pte pte) {
-        pwc_store[{level, gva >> (kPageShift + 9 * level)}] = pte;
-    };
-
-    ASSERT_TRUE(walk(0x40000000, AccessType::Load, nullptr, &pwc).ok());
-    // Neighbouring page: L2/L1 gptes cached -> their G-stage walks and
-    // guest refs vanish; only the L0 gpte (3 NPT + 1 GPT) and the data
-    // (3 NPT + 1 data) remain.
-    const TwoStageResult second = walk(0x40001000, AccessType::Load,
-                                       nullptr, &pwc);
-    ASSERT_TRUE(second.ok());
-    EXPECT_EQ(second.refs.size(), 8u);
-}
-
 TEST_F(TwoStageTest, GuestFaultWhenGpaUnmapped)
 {
     // Guest PT maps the page, but the G-stage does not.
@@ -144,47 +86,6 @@ TEST_F(TwoStageTest, GuestPageFaultWhenGvaUnmapped)
 {
     const TwoStageResult result = walk(0x7000000000 & mask(39));
     EXPECT_EQ(result.fault, Fault::LoadPageFault);
-}
-
-TEST_F(TwoStageTest, PwcHitWithAdUpdateFallsBackToGStageWalk)
-{
-    // Leaf created without A/D: a store through a PWC-cached leaf PTE
-    // must re-locate the PTE through the G-stage to write A/D.
-    ASSERT_TRUE(gpt.map(0x40000000, 0x10000000, Perm::rw(), true,
-                        0, /*accessed=*/false, /*dirty=*/false));
-    ASSERT_TRUE(npt.map(0x10000000, 1_GiB, Perm::rwx(), true));
-
-    std::map<std::pair<unsigned, Addr>, Pte> pwc_store;
-    VsPwcHooks pwc;
-    pwc.lookup = [&](unsigned level, Addr gva) -> std::optional<Pte> {
-        auto it = pwc_store.find(
-            {level, gva >> (kPageShift + 9 * level)});
-        if (it == pwc_store.end())
-            return std::nullopt;
-        return it->second;
-    };
-    pwc.fill = [&](unsigned level, Addr gva, Pte pte) {
-        pwc_store[{level, gva >> (kPageShift + 9 * level)}] = pte;
-    };
-
-    // First store performs the A/D update and caches the (now set)
-    // leaf. Clear D again directly in memory so the second store,
-    // served from the stale PWC copy, needs another update.
-    ASSERT_TRUE(walk(0x40000000, AccessType::Store, nullptr, &pwc).ok());
-    auto slot = gpt.leafPteAddr(0x40000000);
-    ASSERT_TRUE(slot.has_value());
-    Pte pte{mem.read64(*slot)};
-    pte.setD(false);
-    mem.write64(*slot, pte.raw);
-    pwc_store.clear();
-    ASSERT_TRUE(walk(0x40000000, AccessType::Load, nullptr, &pwc).ok());
-    // Now the PWC holds a clean-D leaf; the store must still succeed
-    // and set D in memory.
-    const TwoStageResult result =
-        walk(0x40000000, AccessType::Store, nullptr, &pwc);
-    ASSERT_TRUE(result.ok());
-    const Pte after{mem.read64(*slot)};
-    EXPECT_TRUE(after.d());
 }
 
 TEST_F(TwoStageTest, StoreChecksGuestWritePermission)

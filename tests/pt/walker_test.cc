@@ -146,7 +146,7 @@ TEST_F(WalkerTest, AdUpdateAddsWriteRef)
     const WalkResult store = walk(0x40000000, AccessType::Store);
     ASSERT_EQ(store.refs.size(), 4u);
     EXPECT_TRUE(store.refs[3].write);
-    const Pte leaf{mem.read64(store.leafPteAddr)};
+    const Pte leaf{mem.read64(*pt.leafPteAddr(0x40000000))};
     EXPECT_TRUE(leaf.a());
     EXPECT_TRUE(leaf.d());
 }
