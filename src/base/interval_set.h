@@ -3,8 +3,10 @@
  * Set of disjoint half-open address intervals [base, base+size).
  *
  * Used by the physical page allocator (free lists, fragmentation
- * accounting) and by the secure monitor to validate that GMS regions
- * do not overlap.
+ * accounting). The secure monitor's GMS overlap check keeps its own
+ * index (GmsIndex in monitor/secure_monitor.h): it must count the
+ * domains holding a shared range and must not coalesce adjacent
+ * GMSs, which this set does.
  */
 
 #ifndef HPMP_BASE_INTERVAL_SET_H

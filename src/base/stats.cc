@@ -205,8 +205,9 @@ StatGroup::dumpJson(std::string &out, const std::string &indent) const
         out += ": ";
         appendDouble(out, formula->value());
     }
-    out += "\n" + indent.substr(0, indent.size() > 2 ? indent.size() - 2 : 0);
-    out += "}";
+    out += '\n';
+    out.append(indent, 0, indent.size() > 2 ? indent.size() - 2 : 0);
+    out += '}';
 }
 
 void

@@ -28,6 +28,7 @@ Tlb::fill(Addr va, Addr pa_base, Perm perm, Perm phys_perm, bool user,
     // which is exactly why the fuzzer is allowed to drop them.
     if (FAULT_POINT("tlb.fill"))
         return;
+    filledSinceFlush_ = true;
     DPRINTF(Tlb, "fill va=%#lx pa=%#lx level=%u\n", va, pa_base, level);
 
     TlbEntry entry;
@@ -90,7 +91,10 @@ Tlb::fill(Addr va, Addr pa_base, Perm perm, Perm phys_perm, bool user,
 void
 Tlb::flushAll()
 {
+    if (!filledSinceFlush_)
+        return;
     DPRINTF(Tlb, "flushAll\n");
+    filledSinceFlush_ = false;
     clearMemo();
     for (auto &entry : l1_)
         entry.valid = false;

@@ -155,11 +155,18 @@ class Tlb
     void fill(Addr va, Addr pa_base, Perm perm, Perm phys_perm,
               bool user, unsigned level = 0, Perm g_perm = Perm::rwx());
 
-    /** sfence.vma with rs1=x0: drop everything. */
+    /**
+     * sfence.vma with rs1=x0: drop everything. O(1) when nothing was
+     * filled since the last flushAll (bare harts, back-to-back
+     * fences): only fill() can make an entry valid.
+     */
     void flushAll();
 
     /** sfence.vma with a specific page. */
     void flushPage(Addr va);
+
+    /** True iff a fill landed since the last flushAll. */
+    bool filledSinceFlush() const { return filledSinceFlush_; }
 
     uint64_t l1Hits() const { return l1Hits_.value(); }
     uint64_t l2Hits() const { return l2Hits_.value(); }
@@ -231,6 +238,12 @@ class Tlb
     bool l2Pow2_ = false;
     uint64_t l2Mask_ = 0;
     std::vector<TlbEntry> l2_; //!< direct mapped by vpn % l2Entries_
+    /**
+     * Set by fill() only, cleared by flushAll(): while clear, no entry
+     * of either level is valid (an L2->L1 promotion copies an entry a
+     * fill installed), so there is nothing to sweep.
+     */
+    bool filledSinceFlush_ = false;
 
     /**
      * Last-hit memo: 4 KiB vpn -> the L1 slot that translated it.

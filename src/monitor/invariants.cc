@@ -1,5 +1,6 @@
 #include "monitor/invariants.h"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -107,6 +108,27 @@ checkIsolationInvariants(SecureMonitor &monitor)
                 return fail();
             }
         }
+    }
+
+    // ---- 1b. The ownership index is the union of all GMS ranges ------
+    GmsIndex union_of_lists;
+    for (const Region &r : all) {
+        GmsRange &range = union_of_lists[r.gms->base];
+        range.end = r.gms->base + r.gms->size;
+        ++range.holders;
+    }
+    const GmsIndex &index = monitor.gmsIndex();
+    if (index.size() != union_of_lists.size() ||
+        !std::equal(index.begin(), index.end(), union_of_lists.begin(),
+                    [](const auto &a, const auto &b) {
+                        return a.first == b.first &&
+                               a.second.end == b.second.end &&
+                               a.second.holders == b.second.holders;
+                    })) {
+        why << "GMS ownership index (" << index.size()
+            << " ranges) differs from the union of the GMS lists ("
+            << union_of_lists.size() << " ranges)";
+        return fail();
     }
 
     // ---- 2. Monitor privacy (bookkeeping side) -----------------------
@@ -275,10 +297,13 @@ checkIsolationInvariants(SecureMonitor &monitor)
     }
 
     // ---- 5. Every domain's PMP table agrees with its GMS list --------
+    std::set<Addr> live_frames;
     for (const DomainId id : ids) {
         const PmpTable *table = monitor.tablePeek(id);
         if (!table)
             continue;
+        live_frames.insert(table->tablePages().begin(),
+                           table->tablePages().end());
         auto expect_of = [&](Addr pa) -> Perm {
             for (const Gms &gms : monitor.gmsOf(id)) {
                 if (pa >= gms.base && pa < gms.base + gms.size)
@@ -309,6 +334,32 @@ checkIsolationInvariants(SecureMonitor &monitor)
                 why << "domain " << id << " table holds "
                     << permStr(got) << " at offset " << hex(off)
                     << ", GMS list says " << permStr(want);
+                return fail();
+            }
+        }
+    }
+
+    // ---- 6. Reusable table frames are dead and queued once -----------
+    // (No scheme without tables gets here with a frame queued: None
+    // returned above and never creates a table.)
+    std::set<Addr> reusable;
+    for (const auto *list :
+         {&monitor.freeTableFrames(), &monitor.fencePendingFrames()}) {
+        for (const Addr frame : *list) {
+            if (frame % kPageSize || frame < config.monitorBase ||
+                frame >= config.monitorBase + config.monitorSize) {
+                why << "reusable table frame " << hex(frame)
+                    << " lies outside the monitor region";
+                return fail();
+            }
+            if (!reusable.insert(frame).second) {
+                why << "table frame " << hex(frame)
+                    << " is queued for reuse twice";
+                return fail();
+            }
+            if (live_frames.count(frame)) {
+                why << "table frame " << hex(frame)
+                    << " is queued for reuse but a live table holds it";
                 return fail();
             }
         }

@@ -21,6 +21,11 @@
  *     (under Hpmp) the set of mirrored GMSs is exactly the fast ones.
  *  5. Table agreement — every domain's PMP Table contents agree with
  *     its GMS list, including after rollbacks and huge-pmpte splits.
+ *  6. Frame reuse — every table frame queued for reuse lies in the
+ *     monitor region, is queued once and belongs to no live table.
+ *
+ * Check 1 also compares the monitor's GMS ownership index with the
+ * union of all GMS lists (same ranges, same holder counts).
  *
  * The checks use only functional probes (HpmpUnit::probe,
  * PmpTable::lookup), so running them perturbs no statistics, no

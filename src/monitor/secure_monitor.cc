@@ -83,10 +83,12 @@ toString(RasOutcome outcome)
  * make each call O(live domains), which fleet-scale registries cannot
  * afford. While the transaction is active every pmpte store of a
  * touched domain is journaled (old value per slot), including stores
- * into tables created mid-call. rollback() replays the journal in
- * reverse and restores the snapshots, leaving monitor + HPMP + table
- * state bit-identical to the pre-call state —
- * SecureMonitor::stateDigest() is the test oracle for that claim.
+ * into tables created mid-call, and so is every table frame the call
+ * pops off the free list. rollback() replays the journal in reverse
+ * and restores the snapshots, leaving monitor + HPMP + table state
+ * bit-identical to the pre-call state — SecureMonitor::stateDigest()
+ * is the test oracle for that claim. The GMS ownership index is
+ * reconciled from the same snapshots, so rollback stays O(touched).
  */
 struct SecureMonitor::Txn
 {
@@ -162,6 +164,9 @@ struct SecureMonitor::Txn
         m_.activeTxn_ = nullptr;
     }
 
+    /** Journal a frame popped off the free list, for rollback. */
+    void notePop(Addr frame) { poppedFrames_.push_back(frame); }
+
     /** Keep an erased domain so rollback can reinsert it intact. */
     void
     stashErased(DomainId id, Domain &&dom)
@@ -220,11 +225,23 @@ struct SecureMonitor::Txn
         for (auto it = journal_.rbegin(); it != journal_.rend(); ++it)
             m_.machine_.mem().write64(it->slot, it->oldValue);
         journal_.clear();
+        // Popped frames go back newest-last, so the free list's order
+        // is restored exactly.
+        for (auto it = poppedFrames_.rbegin(); it != poppedFrames_.rend();
+             ++it)
+            m_.freeTableFrames_.push_back(*it);
+        poppedFrames_.clear();
 
         // 2. Reinsert domains the call erased (registry slot revived
-        //    with its pre-call generation — no tag was spent).
-        for (auto &[id, dom] : stashed_)
+        //    with its pre-call generation — no tag was spent). Their
+        //    ranges left the ownership index at the erase and come
+        //    back with them, so from here on the index holds exactly
+        //    every live domain's current GMS list.
+        for (auto &[id, dom] : stashed_) {
+            for (const Gms &gms : dom.gmsList)
+                m_.indexAdd(gms);
             m_.domains_.restoreErased(id, std::move(dom));
+        }
         stashed_.clear();
 
         // 2b. Re-point domains whose table object was swapped out
@@ -232,7 +249,8 @@ struct SecureMonitor::Txn
         //     metadata rollback must run against the object touch()
         //     snapshotted. The abandoned replacement is destroyed
         //     here; its frames were already zeroed by the journal
-        //     replay and are reclaimed by the cursor restore in 4.
+        //     replay and are reclaimed by the pop replay in 1 and the
+        //     cursor restore in 4.
         for (auto &[id, table] : stashedTables_) {
             Domain *dom = m_.domains_.find(id);
             panic_if(!dom, "rollback lost healed domain %u", id);
@@ -240,13 +258,19 @@ struct SecureMonitor::Txn
         }
         stashedTables_.clear();
 
-        // 3. Restore per-domain state of the touched set; drop tables
-        //    created mid-call (their frames are reclaimed by the
-        //    cursor restore in 4).
+        // 3. Restore per-domain state of the touched set, swapping
+        //    each current GMS list for its snapshot in the ownership
+        //    index too; drop tables created mid-call (their frames are
+        //    reclaimed by the pop replay in 1 and the cursor restore
+        //    in 4).
         for (auto &snap : domSnaps_) {
             Domain *dom = m_.domains_.find(snap.id);
             panic_if(!dom, "rollback lost domain %u", snap.id);
+            for (const Gms &gms : dom->gmsList)
+                m_.indexRemove(gms);
             dom->gmsList = snap.gmsList;
+            for (const Gms &gms : dom->gmsList)
+                m_.indexAdd(gms);
             dom->migrating = snap.migrating;
             if (!snap.hadTable) {
                 dom->table.reset();
@@ -339,6 +363,7 @@ struct SecureMonitor::Txn
     std::vector<std::pair<DomainId, Domain>> stashed_;
     std::vector<std::pair<DomainId, std::unique_ptr<PmpTable>>>
         stashedTables_;
+    std::vector<Addr> poppedFrames_; //!< free-list pops, oldest first
 };
 
 template <typename Fn>
@@ -548,12 +573,69 @@ SecureMonitor::allocTableFrame(unsigned npages)
                            "injected fault at monitor.alloc_pmpte"};
     }
     const Addr base = tableFrameNext_;
-    if (base + npages * kPageSize > tableFrameEnd_) {
-        throw MonitorAbort{MonitorError::OutOfTableFrames,
-                           "monitor out of PMP-table frames"};
+    if (base + npages * kPageSize <= tableFrameEnd_) {
+        tableFrameNext_ += npages * kPageSize;
+        return base;
     }
-    tableFrameNext_ += npages * kPageSize;
-    return base;
+    // The bump region is spent: reuse a dead table's frame. Every pop
+    // is journaled, retired frames included, so rollback puts the
+    // free list back exactly.
+    while (npages == 1 && !freeTableFrames_.empty()) {
+        const Addr frame = freeTableFrames_.back();
+        freeTableFrames_.pop_back();
+        panic_if(!activeTxn_, "table frame reissued outside a call");
+        activeTxn_->notePop(frame);
+        if (!pageQuarantined(frame))
+            return frame;
+    }
+    throw MonitorAbort{MonitorError::OutOfTableFrames,
+                       "monitor out of PMP-table frames"};
+}
+
+void
+SecureMonitor::releaseTableFrames(const std::vector<Addr> &frames)
+{
+    // Inside an open coalesced window a sibling hart may still run on
+    // (and cache pmptes of) the dead table until the flush fences it.
+    std::vector<Addr> &dst =
+        coalescedOpen_ ? fencePendingFrames_ : freeTableFrames_;
+    for (const Addr frame : frames) {
+        if (pageQuarantined(frame))
+            continue;
+        machine_.mem().releasePage(frame);
+        dst.push_back(frame);
+    }
+}
+
+bool
+SecureMonitor::indexOverlaps(Addr base, Addr end) const
+{
+    auto it = gmsIndex_.lower_bound(base);
+    if (it != gmsIndex_.end() && it->first < end)
+        return true;
+    return it != gmsIndex_.begin() && std::prev(it)->second.end > base;
+}
+
+void
+SecureMonitor::indexAdd(const Gms &gms)
+{
+    const Addr end = gms.base + gms.size;
+    auto [it, inserted] = gmsIndex_.try_emplace(gms.base, GmsRange{end, 0});
+    panic_if(!inserted && it->second.end != end,
+             "GMS %#lx+%#lx partly overlaps an indexed range", gms.base,
+             gms.size);
+    ++it->second.holders;
+}
+
+void
+SecureMonitor::indexRemove(const Gms &gms)
+{
+    auto it = gmsIndex_.find(gms.base);
+    panic_if(it == gmsIndex_.end() || it->second.end != gms.base + gms.size,
+             "GMS %#lx+%#lx missing from the ownership index", gms.base,
+             gms.size);
+    if (--it->second.holders == 0)
+        gmsIndex_.erase(it);
 }
 
 PmpTable &
@@ -658,8 +740,8 @@ SecureMonitor::destroyDomain(DomainId id)
     // Captured before the erase: once the transaction commits the
     // domain object is gone, and the freed frames get scrubbed so the
     // next owner reads zeros (never the dead domain's data). The
-    // table frames die with the domain too — bump-allocated monitor
-    // frames are never reissued, so their backing can be dropped.
+    // table frames die with the domain too: their backing is dropped
+    // and they wait on the free list until the bump region is spent.
     const std::vector<Gms> freed = dom->gmsList;
     const std::vector<Addr> deadTableFrames =
         dom->table ? dom->table->tablePages() : std::vector<Addr>{};
@@ -671,6 +753,8 @@ SecureMonitor::destroyDomain(DomainId id)
         if (dom->table)
             tableWritesTotal_ += dom->table->entryWrites();
         Domain erased = domains_.erase(id);
+        for (const Gms &gms : erased.gmsList)
+            indexRemove(gms);
         txn.stashErased(id, std::move(erased));
         bool flushed = false;
         bool degraded = false;
@@ -686,10 +770,7 @@ SecureMonitor::destroyDomain(DomainId id)
     });
     if (result.ok) {
         scrubFreedGms(freed);
-        for (const Addr frame : deadTableFrames) {
-            if (!pageQuarantined(frame))
-                machine_.mem().releasePage(frame);
-        }
+        releaseTableFrames(deadTableFrames);
     }
     return result;
 }
@@ -717,17 +798,7 @@ SecureMonitor::addGms(DomainId id, const Gms &gms)
 
     // No overlap with any domain's existing GMSs: memory ownership is
     // exclusive (the host must release regions before granting them).
-    bool overlaps = false;
-    domains_.forEach([&](DomainId, const Domain &other) {
-        for (const Gms &existing : other.gmsList) {
-            if (existing.base < gms.base + gms.size &&
-                gms.base < existing.base + existing.size) {
-                overlaps = true;
-                return;
-            }
-        }
-    });
-    if (overlaps) {
+    if (indexOverlaps(gms.base, gms.base + gms.size)) {
         return failCall(MonitorError::OverlapDomain,
                                    "GMS overlaps a domain region");
     }
@@ -755,6 +826,7 @@ SecureMonitor::addGms(DomainId id, const Gms &gms)
                                "injected fault at monitor.add_gms"};
         }
         dom->gmsList.push_back(gms);
+        indexAdd(gms);
         if (gms.label == GmsLabel::Fast)
             dom->gmsList.back().heat = ++heatClock_;
 
@@ -806,6 +878,7 @@ SecureMonitor::removeGms(DomainId id, Addr base)
         }
         if (dom->table)
             dom->table->setPerm(it->base, it->size, Perm::none());
+        indexRemove(*it);
         dom->gmsList.erase(it);
 
         bool flushed = false;
@@ -950,6 +1023,7 @@ SecureMonitor::shareGms(DomainId owner, Addr base, DomainId peer,
             shared_view.label = GmsLabel::Slow;
             shared_view.heat = 0;
             dst->gmsList.push_back(shared_view);
+            indexAdd(shared_view);
             if (config_.scheme == IsolationScheme::PmpTable ||
                 config_.scheme == IsolationScheme::Hpmp) {
                 tableOf(peer);
@@ -1054,6 +1128,8 @@ SecureMonitor::hintHotRegion(DomainId id, Addr base, uint64_t size)
             // Split into [left][hot][right]; permissions unchanged, so
             // the table is untouched (registers only — the cheap path).
             dom->gmsList.erase(dom->gmsList.begin() + long(i));
+            indexRemove(covering);
+            const size_t first_piece = dom->gmsList.size();
             if (covering.base < base) {
                 dom->gmsList.push_back(Gms{covering.base,
                                            base - covering.base,
@@ -1072,6 +1148,10 @@ SecureMonitor::hintHotRegion(DomainId id, Addr base, uint64_t size)
                                            covering.shared,
                                            covering.heat});
             }
+            // The pieces tile the covering range, which only this
+            // domain held (shared GMSs are never split).
+            for (size_t k = first_piece; k < dom->gmsList.size(); ++k)
+                indexAdd(dom->gmsList[k]);
 
             bool flushed = false;
             bool degraded = false;
@@ -1336,12 +1416,10 @@ SecureMonitor::handleMachineCheck(Addr pa)
                                                   heal.error);
         }
         quarantinePage(page);
-        // The other old frames hold only dead pmptes (bump-allocated
-        // monitor frames are never reissued): drop their backing.
-        for (const Addr frame : oldFrames) {
-            if (!pageQuarantined(frame))
-                machine_.mem().releasePage(frame);
-        }
+        // The other old frames hold only dead pmptes: drop their
+        // backing and queue them for reissue. The poisoned one is
+        // quarantined and never comes back.
+        releaseTableFrames(oldFrames);
         const MonitorValue<MerkleHash> post = measureDomain(tableOwner);
         panic_if(pre.ok != post.ok ||
                      (pre.ok && pre.value != post.value),
@@ -1681,6 +1759,12 @@ SecureMonitor::endCoalescedWindow()
 
     coalescedOpen_ = false;
     coalescedCommits_ = 0;
+    // Every hart is fenced now: frames freed inside the window can no
+    // longer be referenced by any register file or PMPTW cache.
+    freeTableFrames_.insert(freeTableFrames_.end(),
+                            fencePendingFrames_.begin(),
+                            fencePendingFrames_.end());
+    fencePendingFrames_.clear();
     smp_->notifyStep({IpiPhase::WindowEnd, initiator, initiator, seq});
     statIpiCycles_.sample(cycles);
     smp_->releaseMonitorLock(initiator);

@@ -24,12 +24,12 @@
 #ifndef HPMP_MONITOR_SECURE_MONITOR_H
 #define HPMP_MONITOR_SECURE_MONITOR_H
 
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "base/interval_set.h"
 #include "base/trace.h"
 #include "core/machine.h"
 #include "hpmp/isolation.h"
@@ -168,6 +168,21 @@ struct MonitorConfig
 };
 
 class SmpSystem;
+
+/** One distinct GMS range in the monitor's ownership index. */
+struct GmsRange
+{
+    Addr end = 0;         //!< one past the last byte
+    uint32_t holders = 0; //!< live domains whose GMS list holds it
+};
+
+/**
+ * The ownership index: base -> range over the distinct GMS ranges of
+ * all live domains. Any two distinct ranges are disjoint or identical
+ * (DESIGN.md §18), so an overlap query is one lower_bound plus a look
+ * at the predecessor.
+ */
+using GmsIndex = std::map<Addr, GmsRange>;
 
 /** The machine-mode secure monitor. */
 class SecureMonitor
@@ -384,6 +399,28 @@ class SecureMonitor
     /** The domain's PMP Table, or nullptr if none was created yet. */
     const PmpTable *tablePeek(DomainId id) const;
 
+    /** The GMS ownership index (for the invariant checker). */
+    const GmsIndex &gmsIndex() const { return gmsIndex_; }
+
+    /**
+     * Table frames of destroyed or healed tables that the allocator
+     * may reissue once the bump region is spent (DESIGN.md §18).
+     */
+    const std::vector<Addr> &freeTableFrames() const
+    {
+        return freeTableFrames_;
+    }
+
+    /**
+     * Table frames freed inside the open coalesced window: a sibling
+     * hart not yet fenced may still reference them, so they join
+     * freeTableFrames() only after the window's flush.
+     */
+    const std::vector<Addr> &fencePendingFrames() const
+    {
+        return fencePendingFrames_;
+    }
+
     const MonitorConfig &config() const { return config_; }
 
     /** Number of segment entries available to fast GMSs. */
@@ -395,7 +432,9 @@ class SecureMonitor
      * cursor and every pmpte of every domain's PMP Table — into one
      * 64-bit digest. Two equal digests mean bit-identical state; the
      * chaos fuzzer uses this to prove that failed calls rolled back
-     * completely.
+     * completely. The ownership index and the table-frame free list
+     * are derived allocator state, left out so states the model
+     * checker merges stay merged; the invariant checker verifies both.
      */
     uint64_t stateDigest() const;
 
@@ -481,8 +520,28 @@ class SecureMonitor
     /** failCall() for a lookup miss, with the matching message. */
     MonitorResult failNoDomain(DomainId id) const;
 
-    /** Frames for PMP tables come from the monitor-private region. */
+    /**
+     * Frames for PMP tables come from the monitor-private region: a
+     * bump cursor first, then (1-page requests) the free list.
+     */
     Addr allocTableFrame(unsigned npages);
+
+    /**
+     * Take the frames of a table that died in a committed call out of
+     * service: drop their backing and queue them for reissue (after
+     * the open coalesced window's flush, if one is open). Quarantined
+     * frames stay retired.
+     */
+    void releaseTableFrames(const std::vector<Addr> &frames);
+
+    /** True iff [base, end) overlaps a range in the ownership index. */
+    bool indexOverlaps(Addr base, Addr end) const;
+
+    /** Count one more holder of a GMS's range in the index. */
+    void indexAdd(const Gms &gms);
+
+    /** Drop one holder of a GMS's range; the last one erases it. */
+    void indexRemove(const Gms &gms);
 
     /** Ensure the domain's PMP Table exists and reflects its GMSs. */
     PmpTable &tableOf(DomainId id);
@@ -572,9 +631,12 @@ class SecureMonitor
     MonitorConfig config_;
     Attestor attestor_{0x5ec0de};
     DomainRegistry<Domain> domains_;
+    GmsIndex gmsIndex_; //!< distinct GMS ranges of all live domains
     DomainId current_ = 0;
     Addr tableFrameNext_;
     Addr tableFrameEnd_;
+    std::vector<Addr> freeTableFrames_;    //!< reissued LIFO after the bump
+    std::vector<Addr> fencePendingFrames_; //!< await the coalesced flush
     Txn *activeTxn_ = nullptr;
     uint64_t heatClock_ = 0; //!< recency stamps for fast-GMS demotion
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 
 #include "base/fault_inject.h"
 #include "monitor/invariants.h"
@@ -365,6 +366,104 @@ TEST_F(RobustnessTest, TableFrameExhaustionFailsTyped)
     EXPECT_EQ(result.code, MonitorError::OutOfTableFrames);
     EXPECT_EQ(monitor->stateDigest(), before);
     EXPECT_EQ(monitor->gmsOf(0).size(), 1u);
+}
+
+TEST_F(RobustnessTest, TableFramesAreReissuedAfterTheBumpRegionIsSpent)
+{
+    // A 64 KiB monitor region leaves eight PMP-table frames. Each
+    // tenant's table takes two (root + leaf), so churning two tenants
+    // spends the bump region within a few rounds; from then on every
+    // table lives in frames of dead tables.
+    MachineParams params = rocketParams();
+    params.pmptwEntries = 8;
+    machine = std::make_unique<Machine>(params);
+    MonitorConfig config;
+    config.scheme = IsolationScheme::Hpmp;
+    config.monitorSize = 64_KiB;
+    monitor = std::make_unique<SecureMonitor>(*machine, config);
+    machine->setPriv(PrivMode::Supervisor);
+    machine->setBare();
+
+    auto slot_base = [](unsigned slot) { return 1_GiB + slot * 64_MiB; };
+    std::vector<DomainId> tenants(2, 0);
+    std::set<Addr> issued;
+    AccessOutcome out;
+    auto churn = [&](unsigned slot, Addr quarantined) {
+        ASSERT_TRUE(monitor->switchTo(0).ok);
+        if (tenants[slot] != 0) {
+            ASSERT_TRUE(monitor->destroyDomain(tenants[slot]).ok);
+        }
+        const DomainId id = monitor->createDomain();
+        tenants[slot] = id;
+        const MonitorResult added = monitor->addGms(
+            id, {slot_base(slot), 4_KiB, Perm::rw(), GmsLabel::Slow});
+        ASSERT_TRUE(added.ok) << added.error;
+        for (const Addr frame : monitor->tablePeek(id)->tablePages()) {
+            EXPECT_NE(frame, quarantined);
+            issued.insert(frame);
+        }
+
+        // Own GMS granted (twice, so the PMPTW cache serves the
+        // second); every other tenant's GMS denied, whatever tables
+        // the reissued frames held before.
+        ASSERT_TRUE(monitor->switchTo(id).ok);
+        EXPECT_EQ(machine->checkPhys(slot_base(slot), AccessType::Load, out),
+                  Fault::None);
+        EXPECT_EQ(machine->checkPhys(slot_base(slot), AccessType::Load, out),
+                  Fault::None);
+        for (unsigned other = 0; other < 3; ++other) {
+            if (other == slot)
+                continue;
+            EXPECT_EQ(machine->checkPhys(slot_base(other), AccessType::Load,
+                                         out),
+                      Fault::LoadAccessFault);
+        }
+        EXPECT_EQ(checkIsolationInvariants(*monitor), "");
+    };
+
+    for (unsigned round = 0; round < 40; ++round)
+        churn(round % 2, 0);
+    EXPECT_EQ(issued.size(), 7u); // every frame but the host's root
+    EXPECT_EQ(monitor->stats().get("errors.out-of-table-frames"), 0u);
+
+    // A rolled-back addGms that popped a frame puts it back: the
+    // root's frame comes off the free list, then the leaf's
+    // allocation faults.
+    ASSERT_TRUE(monitor->switchTo(0).ok);
+    ASSERT_TRUE(monitor->destroyDomain(tenants[0]).ok);
+    tenants[0] = monitor->createDomain();
+    const std::vector<Addr> free_before = monitor->freeTableFrames();
+    ASSERT_GE(free_before.size(), 2u);
+    const uint64_t digest = monitor->stateDigest();
+    FaultInjector &injector = FaultInjector::instance();
+    injector.enable(7);
+    injector.armNth("monitor.alloc_pmpte", 2);
+    const MonitorResult failed = monitor->addGms(
+        tenants[0], {slot_base(0), 4_KiB, Perm::rw(), GmsLabel::Slow});
+    injector.disable();
+    ASSERT_FALSE(failed.ok);
+    EXPECT_EQ(failed.code, MonitorError::InjectedFault);
+    EXPECT_EQ(monitor->stateDigest(), digest);
+    EXPECT_EQ(monitor->freeTableFrames(), free_before);
+    EXPECT_EQ(checkIsolationInvariants(*monitor), "");
+    ASSERT_TRUE(monitor
+                    ->addGms(tenants[0], {slot_base(0), 4_KiB, Perm::rw(),
+                                          GmsLabel::Slow})
+                    .ok);
+    EXPECT_EQ(monitor->freeTableFrames().size(), free_before.size() - 2);
+
+    // Poison in a live tenant's leaf: the table heals into reissued
+    // frames, the poisoned frame is retired and never handed out again.
+    const Addr poisoned = monitor->tablePeek(tenants[1])->tablePages().back();
+    machine->mem().poisonLine(poisoned + 0x40);
+    const auto healed = monitor->handleMachineCheck(poisoned + 0x40);
+    ASSERT_TRUE(healed.ok) << healed.error;
+    ASSERT_EQ(healed.value, RasOutcome::HealedTable);
+    EXPECT_TRUE(monitor->pageQuarantined(poisoned));
+    EXPECT_EQ(checkIsolationInvariants(*monitor), "");
+    for (unsigned round = 0; round < 20; ++round)
+        churn(round % 2, poisoned);
+    EXPECT_EQ(monitor->stats().get("errors.out-of-table-frames"), 0u);
 }
 
 TEST_F(RobustnessTest, DestroyingCurrentDomainRevokesItsLayout)

@@ -141,8 +141,8 @@ TEST_F(CheckBatteryTest, RasAuditCatchesEachBrokenContract)
     MonitorValue<RasOutcome> outcome;
     outcome.value = RasOutcome::QuarantinedFree;
     const auto nonce = []() { return uint64_t(7); };
-    const auto probe = [&]() { return enclave; };
-    EXPECT_EQ(battery->containment(report, outcome, nonce, probe).kind,
+    const auto victim_probe = [&]() { return enclave; };
+    EXPECT_EQ(battery->containment(report, outcome, nonce, victim_probe).kind,
               "blast_radius");
 
     // A bystander died with the victim.
