@@ -1,18 +1,25 @@
 /**
  * @file
  * Shared helpers for the benchmark harnesses: fixed-width table
- * printing in the style of the paper's tables/figures, and a
- * microbenchmark fixture that builds a Machine + page table + HPMP
- * state for one isolation scheme with controlled placement of PT
- * pages (contiguous pool) and data pages.
+ * printing in the style of the paper's tables/figures, the one JSON
+ * emitter every bench dump goes through, and a microbenchmark
+ * fixture that builds a Machine + page table + HPMP state for one
+ * isolation scheme with controlled placement of PT pages (contiguous
+ * pool) and data pages.
  */
 
 #ifndef HPMP_BENCH_COMMON_H
 #define HPMP_BENCH_COMMON_H
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "base/logging.h"
@@ -25,61 +32,209 @@
 namespace hpmp::bench
 {
 
+/** When `arg` reads PREFIX+VALUE, store VALUE in `out`. */
+inline bool
+parseFlag(const char *arg, std::string_view prefix, std::string &out)
+{
+    if (std::strncmp(arg, prefix.data(), prefix.size()) != 0)
+        return false;
+    out = arg + prefix.size();
+    return true;
+}
+
+/**
+ * The JSON emitter of the bench harnesses: nested objects and arrays
+ * with number, string and bool leaves, in the shape parseStatsJson
+ * flattens into dotted keys (and tools/perfcheck gates). Calls nest
+ * like the document:
+ *
+ *     json.open('{').key("rows").open('[').value(408).close().close();
+ *
+ * Object members take a key() first; array elements do not. Members
+ * and nested containers start a new line, leaf array elements stay
+ * inline, so one table row reads as one line. A non-finite number is
+ * written as a string, which the flattener skips.
+ */
+class Json
+{
+  public:
+    /** Open an object ('{') or an array ('['). */
+    Json &
+    open(char bracket)
+    {
+        place(true);
+        out_ += bracket;
+        levels_.push_back({bracket == '['});
+        return *this;
+    }
+
+    /** Close the innermost open object or array. */
+    Json &
+    close()
+    {
+        const Level level = levels_.back();
+        levels_.pop_back();
+        if (level.multiline)
+            newline();
+        out_ += level.array ? ']' : '}';
+        return *this;
+    }
+
+    /** Name the next value (object members only). */
+    Json &
+    key(std::string_view name)
+    {
+        place(false);
+        quote(name);
+        out_ += ": ";
+        keyed_ = true;
+        return *this;
+    }
+
+    template <class T>
+        requires std::is_arithmetic_v<T>
+    Json &
+    value(T v)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            return token(v ? "true" : "false");
+        } else {
+            char buf[32];
+            const std::string_view text(
+                buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
+            return std::isfinite(double(v)) ? token(text) : value(text);
+        }
+    }
+
+    Json &
+    value(std::string_view s)
+    {
+        place(false);
+        quote(s);
+        return *this;
+    }
+
+    /** Splice an already-rendered JSON value (e.g. a stats dump). */
+    Json &
+    raw(std::string_view json)
+    {
+        place(true);
+        out_ += json.substr(0, json.find_last_not_of(" \n") + 1);
+        return *this;
+    }
+
+    const std::string &str() const { return out_; }
+
+    /** Write the (closed) document to path. @return false on failure. */
+    bool
+    write(const std::string &path) const
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        bool ok = f && std::fprintf(f, "%s\n", out_.c_str()) >= 0;
+        if (f)
+            ok = std::fclose(f) == 0 && ok;
+        std::fprintf(stderr, ok ? "wrote %s\n" : "cannot write %s\n",
+                     path.c_str());
+        return ok;
+    }
+
+  private:
+    struct Level
+    {
+        bool array;
+        bool any = false;       //!< a value was written at this level
+        bool multiline = false; //!< a value started a new line
+    };
+
+    /** Separator and placement before a value (container or leaf). */
+    void
+    place(bool container)
+    {
+        if (keyed_ || levels_.empty()) {
+            keyed_ = false;
+            return;
+        }
+        Level &level = levels_.back();
+        if (level.any)
+            out_ += ',';
+        if (!level.array || container) {
+            newline();
+            level.multiline = true;
+        } else if (level.any) {
+            out_ += ' ';
+        }
+        level.any = true;
+    }
+
+    Json &
+    token(std::string_view text)
+    {
+        place(false);
+        out_ += text;
+        return *this;
+    }
+
+    void
+    newline()
+    {
+        out_ += '\n';
+        out_.append(2 * levels_.size(), ' ');
+    }
+
+    void
+    quote(std::string_view s)
+    {
+        out_ += '"';
+        for (const char c : s) {
+            if (c == '"' || c == '\\')
+                out_ += '\\';
+            out_ += c;
+        }
+        out_ += '"';
+    }
+
+    std::string out_;
+    std::vector<Level> levels_;
+    bool keyed_ = false;
+};
+
 /**
  * --stats-json=FILE collector for the bench harnesses: each measured
  * cell (one machine, one scheme/mode point) is captured as a named
- * stats-registry dump and the whole run is written as one JSON
- * document at destruction. With no --stats-json argument every call
- * is a no-op, so bench stdout stays byte-identical.
+ * stats-registry dump under "captures", and write() saves the
+ * document when --stats-json names a file. Capturing prints nothing,
+ * so bench stdout stays byte-identical either way.
  */
 class StatsSink
 {
   public:
     StatsSink(int argc, char **argv)
     {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg.rfind("--stats-json=", 0) == 0)
-                path_ = arg.substr(std::string("--stats-json=").size());
-        }
+        for (int i = 1; i < argc; ++i)
+            parseFlag(argv[i], "--stats-json=", path_);
+        json_.open('{').key("captures").open('{');
     }
 
-    ~StatsSink()
+    /** @return false when --stats-json named a file it cannot write. */
+    bool
+    write()
     {
-        if (path_.empty())
-            return;
-        std::string out = "{\n  \"captures\": {\n";
-        out += body_;
-        out += "\n  }\n}\n";
-        std::FILE *f = std::fopen(path_.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-            return;
-        }
-        std::fwrite(out.data(), 1, out.size(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "stats written to %s\n", path_.c_str());
+        return path_.empty() || json_.close().close().write(path_);
     }
-
-    bool enabled() const { return !path_.empty(); }
 
     /** Capture anything with registerStats(StatRegistry&). */
     template <class M>
     void
     capture(const std::string &label, M &m)
     {
-        if (path_.empty())
-            return;
         StatRegistry registry;
         m.registerStats(registry);
-        if (!body_.empty())
-            body_ += ",\n";
-        body_ += "    \"" + label + "\": " + registry.dumpJson();
+        json_.key(label).raw(registry.dumpJson());
     }
 
   private:
     std::string path_;
-    std::string body_;
+    Json json_;
 };
 
 /** Print a header like "=== Figure 10: ... ===". */
@@ -98,6 +253,38 @@ row(const std::vector<std::string> &cells)
     std::printf("\n");
 }
 
+/**
+ * Print a table (header, then rows) and record it in one call, as the
+ * member `key: {"columns": [header], "rows": [[...], ...]}` of the
+ * open object in `json`: numeric cells as numbers, the rest (e.g.
+ * "n/a") as strings, which the perfcheck flattener skips.
+ */
+inline void
+emitTable(Json &json, std::string_view key,
+          const std::vector<std::string> &header,
+          const std::vector<std::vector<std::string>> &rows)
+{
+    row(header);
+    json.key(key).open('{').key("columns").open('[');
+    for (const std::string &column : header)
+        json.value(column);
+    json.close().key("rows").open('[');
+    for (const std::vector<std::string> &cells : rows) {
+        row(cells);
+        json.open('[');
+        for (const std::string &cell : cells) {
+            char *end = nullptr;
+            const double v = std::strtod(cell.c_str(), &end);
+            if (!cell.empty() && *end == '\0')
+                json.value(v);
+            else
+                json.value(cell);
+        }
+        json.close();
+    }
+    json.close().close();
+}
+
 inline std::string
 fmt(const char *format, double value)
 {
@@ -106,7 +293,6 @@ fmt(const char *format, double value)
     return buf;
 }
 
-inline std::string num(double v) { return fmt("%.1f", v); }
 inline std::string pct(double v) { return fmt("%.1f%%", v * 100.0); }
 
 /**
@@ -131,15 +317,20 @@ class MicroEnv
     static constexpr Addr kVaBase = 0x2A5A000000;
     static constexpr Addr kFirstDataPa = kDataBase + 417_MiB;
 
-    MicroEnv(const MachineParams &params, IsolationScheme scheme,
-             bool dirty_pages = true)
-        : machine_(std::make_unique<Machine>(params)),
-          scheme_(scheme)
+    MicroEnv(const MachineParams &params, IsolationScheme scheme)
+        : machine_(std::make_unique<Machine>(params))
     {
         pt_ = std::make_unique<PageTable>(machine_->mem(),
                                           bumpAllocator(kPtPool),
                                           PagingMode::Sv39);
-        program(dirty_pages);
+        if (scheme == IsolationScheme::PmpTable ||
+            scheme == IsolationScheme::Hpmp) {
+            table_ = std::make_unique<PmpTable>(
+                machine_->mem(), bumpAllocator(64_MiB), 2);
+            table_->setPerm(kPtPool, kPtPoolSize, Perm::rw());
+            table_->setPerm(kDataBase, kDataSize, Perm::rwx());
+        }
+        program(machine_->hpmp(), scheme, table_ ? table_->rootPa() : 0);
         machine_->setSatp(pt_->rootPa(), PagingMode::Sv39);
         machine_->setPriv(PrivMode::User);
     }
@@ -169,7 +360,6 @@ class MicroEnv
 
     Machine &machine() { return *machine_; }
     PageTable &pt() { return *pt_; }
-    IsolationScheme scheme() const { return scheme_; }
 
     /** Clear the D bit of the leaf PTE for va (cache state untouched). */
     void
@@ -183,12 +373,16 @@ class MicroEnv
         machine_->mem().write64(*slot, pte.raw);
     }
 
-  private:
-    void
-    program(bool /*dirty_pages*/)
+    /**
+     * Program the HPMP registers for one scheme the way the secure
+     * monitor would: segments for the PT pool and data under PMP, a
+     * whole-memory table (rooted at table_root) under PMP Table, and
+     * the PT-pool segment in front of that table under HPMP.
+     */
+    static void
+    program(HpmpUnit &unit, IsolationScheme scheme, Addr table_root)
     {
-        HpmpUnit &unit = machine_->hpmp();
-        switch (scheme_) {
+        switch (scheme) {
           case IsolationScheme::None:
             unit.programSegment(0, 0, 16_GiB, Perm::rwx());
             break;
@@ -197,28 +391,17 @@ class MicroEnv
             unit.programSegment(1, kDataBase, kDataSize, Perm::rwx());
             break;
           case IsolationScheme::PmpTable:
-            makeTable();
-            unit.programTable(0, 0, 16_GiB, table_->rootPa());
+            unit.programTable(0, 0, 16_GiB, table_root);
             break;
           case IsolationScheme::Hpmp:
             unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-            makeTable();
-            unit.programTable(1, 0, 16_GiB, table_->rootPa());
+            unit.programTable(1, 0, 16_GiB, table_root);
             break;
         }
     }
 
-    void
-    makeTable()
-    {
-        table_ = std::make_unique<PmpTable>(machine_->mem(),
-                                            bumpAllocator(64_MiB), 2);
-        table_->setPerm(kPtPool, kPtPoolSize, Perm::rw());
-        table_->setPerm(kDataBase, kDataSize, Perm::rwx());
-    }
-
+  private:
     std::unique_ptr<Machine> machine_;
-    IsolationScheme scheme_;
     std::unique_ptr<PageTable> pt_;
     std::unique_ptr<PmpTable> table_;
     Addr nextVa_ = kVaBase;

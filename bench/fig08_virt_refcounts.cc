@@ -38,5 +38,5 @@ main(int argc, char **argv)
     }
     std::printf("  Paper: 16 (PMP) / 48 (PMPT: +32) / 24 (HPMP: "
                 "mitigates the 24 NPT checks) / 18 (HPMP-GPT)\n");
-    return 0;
+    return sink.write() ? 0 : 1;
 }

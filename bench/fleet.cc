@@ -13,10 +13,8 @@
  * per fleet size.
  */
 
-#include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "base/stats.h"
 #include "bench/common.h"
@@ -27,70 +25,31 @@ namespace hpmp::bench
 namespace
 {
 
-struct FleetRow
-{
-    unsigned domains;
-    FleetResult res;
-};
-
-std::string
-jsonRecord(const FleetRow &r)
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"domains\": %u, \"switches\": %llu, "
-        "\"switches_per_sec\": %.1f, \"p50_switch_cycles\": %llu, "
-        "\"p99_switch_cycles\": %llu, \"p999_switch_cycles\": %llu, "
-        "\"churns\": %llu, "
-        "\"attests\": %llu, \"stale_probes\": %llu, "
-        "\"coalesced_windows\": %llu, \"commits_per_window\": %.2f}",
-        r.domains, (unsigned long long)r.res.switches,
-        r.res.switchesPerSec, (unsigned long long)r.res.p50SwitchCycles,
-        (unsigned long long)r.res.p99SwitchCycles,
-        (unsigned long long)r.res.p999SwitchCycles,
-        (unsigned long long)r.res.churns,
-        (unsigned long long)r.res.attests,
-        (unsigned long long)r.res.staleProbes,
-        (unsigned long long)r.res.coalescedWindows,
-        r.res.commitsPerWindow);
-    return buf;
-}
-
 int
 runBench(int argc, char **argv)
 {
-    std::string jsonPath = "BENCH_fleet.json";
-    std::string seriesPath;
-    uint64_t seriesInterval = 50000;
-    uint64_t requests = 4000;
-    unsigned harts = 4;
+    std::string jsonPath = "BENCH_fleet.json", seriesPath;
+    std::string interval = "50000", requests = "4000", harts = "4";
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json=", 0) == 0)
-            jsonPath = arg.substr(std::strlen("--json="));
-        else if (arg.rfind("--stats-series=", 0) == 0)
-            seriesPath = arg.substr(std::strlen("--stats-series="));
-        else if (arg.rfind("--stats-interval=", 0) == 0)
-            seriesInterval =
-                std::stoull(arg.substr(std::strlen("--stats-interval=")));
-        else if (arg.rfind("--requests=", 0) == 0)
-            requests = std::stoull(arg.substr(std::strlen("--requests=")));
-        else if (arg.rfind("--harts=", 0) == 0)
-            harts = unsigned(std::stoul(arg.substr(std::strlen("--harts="))));
+        parseFlag(argv[i], "--json=", jsonPath) ||
+            parseFlag(argv[i], "--stats-series=", seriesPath) ||
+            parseFlag(argv[i], "--stats-interval=", interval) ||
+            parseFlag(argv[i], "--requests=", requests) ||
+            parseFlag(argv[i], "--harts=", harts);
     }
 
     banner("Fleet serving: Zipf switch traffic with churn + coalescing");
     row({"domains", "switch/s", "p50 cyc", "p99 cyc", "p99.9 cyc",
          "churns", "windows", "c/window"});
 
-    std::vector<FleetRow> rows;
-    std::string series_json;
+    Json json, series;
+    json.open('{').key("fleet").open('[');
+    series.open('{').key("fleet_series").open('[');
     for (const unsigned domains : {100u, 1000u, 10000u}) {
         FleetConfig cfg;
         cfg.domains = domains;
-        cfg.requests = requests;
-        cfg.harts = harts;
+        cfg.requests = std::stoull(requests);
+        cfg.harts = unsigned(std::stoul(harts));
         FleetWorkload fleet(cfg);
         // Windowed telemetry of the serving run (per fleet size).
         StatRegistry seriesRegistry;
@@ -98,21 +57,15 @@ runBench(int argc, char **argv)
         if (!seriesPath.empty()) {
             fleet.monitor().registerStats(seriesRegistry);
             fleet.smp().registerStats(seriesRegistry);
-            sampler = std::make_unique<StatSampler>(seriesRegistry,
-                                                    seriesInterval);
+            sampler = std::make_unique<StatSampler>(
+                seriesRegistry, std::stoull(interval));
             fleet.setSampler(sampler.get());
         }
         const FleetResult res = fleet.run();
         if (sampler) {
-            if (!series_json.empty())
-                series_json += ",\n";
-            series_json += "    {\"domains\": ";
-            series_json += std::to_string(domains);
-            series_json += ", \"series\": ";
-            series_json += sampler->dumpJson();
-            series_json += "}";
+            series.open('{').key("domains").value(domains);
+            series.key("series").raw(sampler->dumpJson()).close();
         }
-        rows.push_back({domains, res});
         row({std::to_string(domains), fmt("%.0f", res.switchesPerSec),
              std::to_string(res.p50SwitchCycles),
              std::to_string(res.p99SwitchCycles),
@@ -120,36 +73,25 @@ runBench(int argc, char **argv)
              std::to_string(res.churns),
              std::to_string(res.coalescedWindows),
              fmt("%.2f", res.commitsPerWindow)});
+        json.open('{')
+            .key("domains").value(domains)
+            .key("switches").value(res.switches)
+            .key("switches_per_sec").value(res.switchesPerSec)
+            .key("p50_switch_cycles").value(res.p50SwitchCycles)
+            .key("p99_switch_cycles").value(res.p99SwitchCycles)
+            .key("p999_switch_cycles").value(res.p999SwitchCycles)
+            .key("churns").value(res.churns)
+            .key("attests").value(res.attests)
+            .key("stale_probes").value(res.staleProbes)
+            .key("coalesced_windows").value(res.coalescedWindows)
+            .key("commits_per_window").value(res.commitsPerWindow)
+            .close();
     }
 
-    std::string out = "{\n  \"fleet\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        out += jsonRecord(rows[i]);
-        out += i + 1 < rows.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    std::FILE *f = std::fopen(jsonPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
-        return 1;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "fleet baseline written to %s\n",
-                 jsonPath.c_str());
-    if (!seriesPath.empty()) {
-        std::FILE *sf = std::fopen(seriesPath.c_str(), "w");
-        if (!sf) {
-            std::fprintf(stderr, "cannot write %s\n", seriesPath.c_str());
-            return 1;
-        }
-        std::fprintf(sf, "{\n  \"fleet_series\": [\n%s\n  ]\n}\n",
-                     series_json.c_str());
-        std::fclose(sf);
-        std::fprintf(stderr, "fleet stats series written to %s\n",
-                     seriesPath.c_str());
-    }
-    return 0;
+    const bool ok = json.close().close().write(jsonPath) &&
+                    (seriesPath.empty() ||
+                     series.close().close().write(seriesPath));
+    return ok ? 0 : 1;
 }
 
 } // namespace

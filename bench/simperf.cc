@@ -1,20 +1,12 @@
 /**
  * @file
- * Simulator-throughput regression benchmarks: host-side cost of one
- * simulated access per scheme and state, plus PMP-table update
- * throughput. These guard the engineering quality of the simulator
- * itself rather than reproducing a paper figure.
- *
- * Two layers:
- *   - google-benchmark micros (BM_*), run with the usual flags;
- *   - a fixed JSON harness that replays a deterministic hot-set
- *     pattern through the virtualized machine for each method of
- *     Fig. 13 and writes BENCH_simperf.json (simulated Maccesses/s
- *     and simulated cycles per access). `--json-only` skips the
- *     micros.
+ * Simulator-throughput regression harness: replays a deterministic
+ * hot-set pattern through the virtualized machine for each method of
+ * Fig. 13 and writes BENCH_simperf.json (host Maccesses/s and
+ * simulated cycles per access). This guards the engineering quality
+ * of the simulator itself rather than reproducing a paper figure;
+ * the per-layer host-time costs live in the perfbench ledger.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -30,105 +22,6 @@ namespace hpmp::bench
 {
 namespace
 {
-
-void
-BM_AccessTlbHit(benchmark::State &state)
-{
-    MicroEnv env(rocketParams(),
-                 IsolationScheme(int(state.range(0))));
-    const Addr va = env.mapPages(1);
-    Machine &m = env.machine();
-    (void)m.access(va, AccessType::Load);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(m.access(va, AccessType::Load));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AccessTlbHit)
-    ->Arg(int(IsolationScheme::Pmp))
-    ->Arg(int(IsolationScheme::PmpTable))
-    ->Arg(int(IsolationScheme::Hpmp));
-
-/**
- * TLB hits spread across a resident hot set: the seed's linear L1
- * scan paid O(occupancy) here, the indexed TLB pays one probe.
- */
-void
-BM_AccessTlbHitSpread(benchmark::State &state)
-{
-    MicroEnv env(rocketParams(),
-                 IsolationScheme(int(state.range(0))));
-    constexpr unsigned kHot = 24; // fits the 32-entry L1
-    const Addr base = env.mapPages(kHot);
-    Machine &m = env.machine();
-    for (unsigned i = 0; i < kHot; ++i)
-        (void)m.access(base + pageAddr(i), AccessType::Load);
-    unsigned i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            m.access(base + pageAddr(i), AccessType::Load));
-        i = (i + 1) % kHot;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AccessTlbHitSpread)
-    ->Arg(int(IsolationScheme::Pmp))
-    ->Arg(int(IsolationScheme::Hpmp));
-
-void
-BM_AccessTlbMiss(benchmark::State &state)
-{
-    MicroEnv env(rocketParams(),
-                 IsolationScheme(int(state.range(0))));
-    const Addr va = env.mapPages(1);
-    Machine &m = env.machine();
-    for (auto _ : state) {
-        m.tlb().flushAll();
-        benchmark::DoNotOptimize(m.access(va, AccessType::Load));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AccessTlbMiss)
-    ->Arg(int(IsolationScheme::Pmp))
-    ->Arg(int(IsolationScheme::PmpTable))
-    ->Arg(int(IsolationScheme::Hpmp));
-
-void
-BM_PmpTableUpdate(benchmark::State &state)
-{
-    PhysMem mem(16_GiB);
-    PmpTable table(mem, bumpAllocator(64_MiB), 2);
-    uint64_t offset = 0;
-    for (auto _ : state) {
-        table.setPerm(offset % 8_GiB, 64_KiB, Perm::rw());
-        offset += 64_KiB;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PmpTableUpdate);
-
-void
-BM_ColdWalk(benchmark::State &state)
-{
-    MicroEnv env(rocketParams(), IsolationScheme::PmpTable);
-    const Addr va = env.mapPages(1);
-    Machine &m = env.machine();
-    for (auto _ : state) {
-        m.coldReset();
-        benchmark::DoNotOptimize(m.access(va, AccessType::Load));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ColdWalk);
-
-/** One scheme's throughput measurement for BENCH_simperf.json. */
-struct SimperfResult
-{
-    const char *name;
-    double maccessesPerSec = 0.0;
-    double cyclesPerAccess = 0.0;
-    double tlbHitRate = 0.0;
-    uint64_t accesses = 0;
-};
 
 /** Geometry of one simperf replay pattern. */
 struct SimperfPattern
@@ -197,17 +90,18 @@ simperfRequests(const SimperfPattern &pattern, Addr hot_base,
     return reqs;
 }
 
-/** Windowed-telemetry knobs threaded down from main (off when null). */
+/** Windowed-telemetry knobs threaded down from main. */
 struct SimperfSeries
 {
-    std::string path;          //!< output file; empty = disabled
-    uint64_t interval = 100000; //!< simulated cycles per window
-    std::string json;          //!< accumulated per-run series records
+    std::string path;                //!< output file; empty = disabled
+    std::string interval = "100000"; //!< simulated cycles per window
+    Json json;                       //!< one record per (pattern, scheme) run
 };
 
-SimperfResult
+/** Replay one pattern under one scheme; print and record its row. */
+void
 runSimperfScheme(VirtScheme scheme, const SimperfPattern &pattern,
-                 double min_seconds, SimperfSeries *series)
+                 double min_seconds, SimperfSeries &series, Json &json)
 {
     VirtEnv env(CoreKind::Rocket, scheme);
     const Addr hot = env.mapGuestPages(pattern.hotPages);
@@ -221,126 +115,96 @@ runSimperfScheme(VirtScheme scheme, const SimperfPattern &pattern,
 
     StatRegistry seriesRegistry;
     std::unique_ptr<StatSampler> sampler;
-    if (series && !series->path.empty()) {
+    if (!series.path.empty()) {
         vm.registerStats(seriesRegistry);
-        sampler = std::make_unique<StatSampler>(seriesRegistry,
-                                                series->interval);
+        sampler = std::make_unique<StatSampler>(
+            seriesRegistry, std::strtoull(series.interval.c_str(),
+                                          nullptr, 0));
     }
 
-    SimperfResult result{toString(scheme)};
-    uint64_t cycles = 0, hits = 0, faults = 0;
+    VirtBatchOutcome total;
     const auto t0 = std::chrono::steady_clock::now();
     double elapsed = 0.0;
     do {
         const VirtBatchOutcome out = vm.accessBatch(reqs);
-        result.accesses += out.accesses;
-        cycles += out.cycles;
-        hits += out.tlbHits;
-        faults += out.faults;
+        total.accesses += out.accesses;
+        total.cycles += out.cycles;
+        total.tlbHits += out.tlbHits;
+        total.faults += out.faults;
         if (sampler)
-            sampler->advanceTo(cycles);
+            sampler->advanceTo(total.cycles);
         elapsed = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0).count();
     } while (elapsed < min_seconds);
 
     if (sampler) {
-        sampler->sample(cycles);
-        if (!series->json.empty())
-            series->json += ",\n";
-        series->json += "    {\"pattern\": \"";
-        series->json += pattern.name;
-        series->json += "\", \"scheme\": \"";
-        series->json += toString(scheme);
-        series->json += "\", \"series\": ";
-        series->json += sampler->dumpJson();
-        series->json += "}";
+        sampler->sample(total.cycles);
+        series.json.open('{')
+            .key("pattern").value(pattern.name)
+            .key("scheme").value(toString(scheme))
+            .key("series").raw(sampler->dumpJson())
+            .close();
     }
 
-    fatal_if(faults != 0, "simperf pattern faulted (%lu)",
-             (unsigned long)faults);
-    result.maccessesPerSec = double(result.accesses) / elapsed / 1e6;
-    result.cyclesPerAccess = double(cycles) / double(result.accesses);
-    result.tlbHitRate = double(hits) / double(result.accesses);
-    return result;
+    fatal_if(total.faults != 0, "simperf pattern faulted (%lu)",
+             (unsigned long)total.faults);
+    const double accesses = double(total.accesses);
+    const double macc_per_sec = accesses / elapsed / 1e6;
+    const double cycles_per_access = double(total.cycles) / accesses;
+    const double tlb_hit_rate = double(total.tlbHits) / accesses;
+    row({toString(scheme), fmt("%.2f", macc_per_sec),
+         fmt("%.2f", cycles_per_access), pct(tlb_hit_rate)});
+    json.open('{')
+        .key("name").value(toString(scheme))
+        .key("maccesses_per_sec").value(macc_per_sec)
+        .key("cycles_per_access").value(cycles_per_access)
+        .key("tlb_hit_rate").value(tlb_hit_rate)
+        .key("accesses").value(total.accesses)
+        .close();
 }
 
 int
-writeSimperfJson(const char *path, double min_seconds,
-                 const char *only_pattern, SimperfSeries *series)
+writeSimperfJson(double min_seconds, const std::string &only_pattern,
+                 SimperfSeries &series)
 {
-    const VirtScheme schemes[] = {VirtScheme::Pmp, VirtScheme::Pmpt,
-                                  VirtScheme::Hpmp, VirtScheme::HpmpGpt};
-
-    if (only_pattern) {
-        bool known = false;
-        for (const SimperfPattern &pattern : kPatterns)
-            known = known || std::strcmp(pattern.name, only_pattern) == 0;
-        if (!known) {
-            std::fprintf(stderr, "unknown --pattern=%s (have:",
-                         only_pattern);
-            for (const SimperfPattern &pattern : kPatterns)
-                std::fprintf(stderr, " %s", pattern.name);
-            std::fprintf(stderr, ")\n");
-            return 1;
-        }
-    }
-
-    std::FILE *out = std::fopen(path, "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return 1;
-    }
-    std::fprintf(out, "{\n  \"benchmark\": \"simperf\",\n"
-                      "  \"core\": \"rocket\",\n  \"patterns\": [\n");
-    bool first_pattern = true;
+    Json json;
+    json.open('{')
+        .key("benchmark").value("simperf")
+        .key("core").value("rocket")
+        .key("patterns").open('[');
+    series.json.open('{').key("simperf_series").open('[');
+    bool matched = false;
     for (const SimperfPattern &pattern : kPatterns) {
-        if (only_pattern && std::strcmp(pattern.name, only_pattern) != 0)
+        if (!only_pattern.empty() && only_pattern != pattern.name)
             continue;
+        matched = true;
         banner(std::string("simperf ") + pattern.name +
                ": simulated-access throughput");
         row({"scheme", "Macc/s", "cyc/access", "TLB hit"});
-        std::fprintf(out,
-                     "%s    {\"name\": \"%s\", \"hot_pages\": %u, "
-                     "\"cold_pages\": %u, \"schemes\": [\n",
-                     first_pattern ? "" : ",\n", pattern.name,
-                     pattern.hotPages, pattern.coldPages);
-        first_pattern = false;
-        bool first = true;
-        for (const VirtScheme scheme : schemes) {
-            const SimperfResult r =
-                runSimperfScheme(scheme, pattern, min_seconds, series);
-            row({r.name, fmt("%.2f", r.maccessesPerSec),
-                 fmt("%.2f", r.cyclesPerAccess), pct(r.tlbHitRate)});
-            std::fprintf(out,
-                         "%s      {\"name\": \"%s\", "
-                         "\"maccesses_per_sec\": %.3f, "
-                         "\"cycles_per_access\": %.3f, "
-                         "\"tlb_hit_rate\": %.4f, "
-                         "\"accesses\": %lu}",
-                         first ? "" : ",\n", r.name, r.maccessesPerSec,
-                         r.cyclesPerAccess, r.tlbHitRate,
-                         (unsigned long)r.accesses);
-            first = false;
-        }
-        std::fprintf(out, "\n    ]}");
+        json.open('{')
+            .key("name").value(pattern.name)
+            .key("hot_pages").value(pattern.hotPages)
+            .key("cold_pages").value(pattern.coldPages)
+            .key("schemes").open('[');
+        for (const VirtScheme scheme :
+             {VirtScheme::Pmp, VirtScheme::Pmpt, VirtScheme::Hpmp,
+              VirtScheme::HpmpGpt})
+            runSimperfScheme(scheme, pattern, min_seconds, series, json);
+        json.close().close();
     }
-    std::fprintf(out, "\n  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", path);
+    if (!matched) {
+        std::fprintf(stderr, "unknown --pattern=%s (have:",
+                     only_pattern.c_str());
+        for (const SimperfPattern &pattern : kPatterns)
+            std::fprintf(stderr, " %s", pattern.name);
+        std::fprintf(stderr, ")\n");
+        return 1;
+    }
 
-    if (series && !series->path.empty()) {
-        std::FILE *sf = std::fopen(series->path.c_str(), "w");
-        if (!sf) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         series->path.c_str());
-            return 1;
-        }
-        std::fprintf(sf, "{\n  \"simperf_series\": [\n%s\n  ]\n}\n",
-                     series->json.c_str());
-        std::fclose(sf);
-        std::printf("stats series written to %s\n", series->path.c_str());
-    }
-    return 0;
+    const bool ok = json.close().close().write("BENCH_simperf.json") &&
+                    (series.path.empty() ||
+                     series.json.close().close().write(series.path));
+    return ok ? 0 : 1;
 }
 
 } // namespace
@@ -349,41 +213,21 @@ writeSimperfJson(const char *path, double min_seconds,
 int
 main(int argc, char **argv)
 {
-    bool json_only = false;
+    using hpmp::bench::parseFlag;
     double min_seconds = 0.25;
-    const char *only_pattern = nullptr;
+    std::string only_pattern;
     hpmp::bench::SimperfSeries series;
     for (int i = 1; i < argc; ++i) {
-        bool consume = true;
-        if (std::strcmp(argv[i], "--json-only") == 0) {
-            json_only = true;
-        } else if (std::strcmp(argv[i], "--quick") == 0) {
+        if (std::strcmp(argv[i], "--quick") == 0)
             min_seconds = 0.02;
-        } else if (std::strncmp(argv[i], "--pattern=", 10) == 0) {
-            only_pattern = argv[i] + 10;
-        } else if (std::strncmp(argv[i], "--stats-series=", 15) == 0) {
-            series.path = argv[i] + 15;
-        } else if (std::strncmp(argv[i], "--stats-interval=", 17) == 0) {
-            series.interval = std::strtoull(argv[i] + 17, nullptr, 0);
-        } else {
-            consume = false;
-        }
-        if (consume) {
-            for (int j = i; j + 1 < argc; ++j)
-                argv[j] = argv[j + 1];
-            --argc;
-            --i;
-        }
-    }
-
-    if (!json_only) {
-        benchmark::Initialize(&argc, argv);
-        if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        else if (!parseFlag(argv[i], "--pattern=", only_pattern) &&
+                 !parseFlag(argv[i], "--stats-series=", series.path) &&
+                 !parseFlag(argv[i], "--stats-interval=",
+                            series.interval)) {
+            std::fprintf(stderr, "unknown argument %s\n", argv[i]);
             return 1;
-        benchmark::RunSpecifiedBenchmarks();
-        benchmark::Shutdown();
+        }
     }
-    return hpmp::bench::writeSimperfJson("BENCH_simperf.json",
-                                         min_seconds, only_pattern,
-                                         &series);
+    return hpmp::bench::writeSimperfJson(min_seconds, only_pattern,
+                                         series);
 }

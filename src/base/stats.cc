@@ -384,8 +384,13 @@ parseValue(JsonCursor &cur, const std::string &prefix,
         std::string ignored;
         return parseString(cur, ignored); // strings are not flattened
     }
+    const bool t = cur.text.compare(cur.pos, 4, "true") == 0;
+    if (t || cur.text.compare(cur.pos, 5, "false") == 0) {
+        cur.pos += t ? 4 : 5;
+        out[prefix] = t;
+        return true;
+    }
     // A number.
-    cur.skipWs();
     size_t used = 0;
     double v = 0.0;
     try {

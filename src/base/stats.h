@@ -281,7 +281,8 @@ class StatSampler
 
 /**
  * Minimal parser for the dumps produced by StatRegistry::dumpJson
- * (numbers, strings, objects, arrays — no escapes beyond \" and \\).
+ * (numbers, bools as 1/0, strings, objects, arrays — no escapes
+ * beyond \" and \\).
  * Flattens nested objects into dotted keys and arrays into ".N"
  * suffixes: {"groups":{"machine":{"walks":4}}} becomes
  * "groups.machine.walks" -> 4. Used by the round-trip tests and by

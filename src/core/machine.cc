@@ -133,33 +133,13 @@ Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
     for (const AccessRequest &req : reqs) {
         const AccessOutcome out = accessInner(req.va, req.type);
         ++b.completed;
-        ++b.accesses;
-        if (out.tlbHit)
-            ++b.tlbHits;
-        else if (translationOn_)
-            statWalkCycles_.sample(out.cycles);
-        b.cycles += out.cycles;
-        b.ptRefs += out.ptRefs;
-        b.adRefs += out.adRefs;
-        b.pmptRefs += out.pmptRefs;
-        b.dataRefs += out.dataRefs;
-        b.pwcSkips += out.pwcSkips;
+        tally(b, out);
         if (model)
             model->addAccess(out);
-        if (!out.ok()) {
-            ++b.faults;
-            if (b.firstFault == Fault::None)
-                b.firstFault = out.fault;
-            countFault(out.fault);
-            if (stop_on_fault)
-                break;
-        }
+        if (!out.ok() && stop_on_fault)
+            break;
     }
-    statAccesses_ += b.accesses;
-    if (translationOn_)
-        statWalks_ += b.accesses - b.tlbHits;
-    statPtRefs_ += b.ptRefs + b.adRefs;
-    statPmptRefs_ += b.pmptRefs;
+    commit(b);
     return b;
 }
 

@@ -251,7 +251,7 @@ class Machine
     SatpFenceHook satpFenceHook_;
 
     /**
-     * The access path proper (stats wrapper lives in access()): the
+     * The access path proper (stats ladder lives in tally()): the
      * TLB-hit path, inline; everything else goes to accessMiss().
      */
     AccessOutcome accessInner(Addr va, AccessType type);
@@ -283,9 +283,10 @@ class Machine
         return Fault::MachineCheck;
     }
 
-    /** Add a faulting outcome to the machine_checks, access_faults or
-     *  page_faults counter (None counts nowhere). */
-    void countFault(Fault fault);
+    /** The stats ladder of access() and accessBatch(): tally() adds one
+     *  access to a batch total, commit() the total to the counters. */
+    void tally(BatchOutcome &b, const AccessOutcome &out);
+    void commit(const BatchOutcome &b);
 
     StatGroup stats_;
     StatGroup tlbStats_;
@@ -308,15 +309,10 @@ class Machine
 inline AccessOutcome
 Machine::access(Addr va, AccessType type)
 {
-    AccessOutcome out = accessInner(va, type);
-    ++statAccesses_;
-    if (!out.tlbHit && translationOn_) {
-        ++statWalks_;
-        statWalkCycles_.sample(out.cycles);
-    }
-    statPtRefs_ += out.ptRefs + out.adRefs;
-    statPmptRefs_ += out.pmptRefs;
-    countFault(out.fault);
+    const AccessOutcome out = accessInner(va, type);
+    BatchOutcome b;
+    tally(b, out);
+    commit(b);
     return out;
 }
 
@@ -354,11 +350,24 @@ Machine::dataRef(Addr pa, AccessType type, AccessOutcome &out)
 }
 
 inline void
-Machine::countFault(Fault fault)
+Machine::tally(BatchOutcome &b, const AccessOutcome &out)
 {
-    switch (fault) {
-      case Fault::None:
-        break;
+    ++b.accesses;
+    if (out.tlbHit)
+        ++b.tlbHits;
+    else if (translationOn_)
+        statWalkCycles_.sample(out.cycles);
+    b.cycles += out.cycles;
+    b.ptRefs += out.ptRefs;
+    b.adRefs += out.adRefs;
+    b.pmptRefs += out.pmptRefs;
+    b.dataRefs += out.dataRefs;
+    b.pwcSkips += out.pwcSkips;
+    if (out.ok())
+        return;
+    if (b.faults++ == 0)
+        b.firstFault = out.fault;
+    switch (out.fault) {
       case Fault::MachineCheck:
         ++statMachineChecks_;
         break;
@@ -371,6 +380,16 @@ Machine::countFault(Fault fault)
         ++statPageFaults_;
         break;
     }
+}
+
+inline void
+Machine::commit(const BatchOutcome &b)
+{
+    statAccesses_ += b.accesses;
+    if (translationOn_)
+        statWalks_ += b.accesses - b.tlbHits;
+    statPtRefs_ += b.ptRefs + b.adRefs;
+    statPmptRefs_ += b.pmptRefs;
 }
 
 } // namespace hpmp

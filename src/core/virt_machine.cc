@@ -111,63 +111,56 @@ VirtMachine::registerStats(StatRegistry &registry)
         machine_.registerStats(registry);
 }
 
-void
-VirtMachine::account(const VirtAccessOutcome &out)
+inline void
+VirtMachine::tally(VirtBatchOutcome &b, const VirtAccessOutcome &out)
 {
-    ++statAccesses_;
-    if (out.tlbHit) {
-        ++statTlbHits_;
-    } else {
-        ++statWalks_;
+    ++b.accesses;
+    if (out.tlbHit)
+        ++b.tlbHits;
+    else
         statWalkCycles_.sample(out.cycles);
-    }
-    statNptRefs_ += out.nptRefs;
-    statGptRefs_ += out.gptRefs;
-    statDataRefs_ += out.dataRefs;
-    statPmptRefs_ += out.pmptRefs;
-    statGTlbHits_ += out.gTlbHits;
     if (!out.ok())
-        ++statFaults_;
+        ++b.faults;
+    b.cycles += out.cycles;
+    b.nptRefs += out.nptRefs;
+    b.gptRefs += out.gptRefs;
+    b.dataRefs += out.dataRefs;
+    b.pmptRefs += out.pmptRefs;
+    b.gTlbHits += out.gTlbHits;
+}
+
+inline void
+VirtMachine::commit(const VirtBatchOutcome &b)
+{
+    statAccesses_ += b.accesses;
+    statTlbHits_ += b.tlbHits;
+    statWalks_ += b.accesses - b.tlbHits;
+    statNptRefs_ += b.nptRefs;
+    statGptRefs_ += b.gptRefs;
+    statDataRefs_ += b.dataRefs;
+    statPmptRefs_ += b.pmptRefs;
+    statGTlbHits_ += b.gTlbHits;
+    statFaults_ += b.faults;
 }
 
 VirtAccessOutcome
 VirtMachine::access(Addr gva, AccessType type)
 {
-    VirtAccessOutcome out = accessInner(gva, type);
-    account(out);
+    const VirtAccessOutcome out = accessInner(gva, type);
+    VirtBatchOutcome b;
+    tally(b, out);
+    commit(b);
     return out;
 }
 
 VirtBatchOutcome
 VirtMachine::accessBatch(std::span<const AccessRequest> reqs)
 {
-    VirtBatchOutcome batch;
-    for (const AccessRequest &req : reqs) {
-        const VirtAccessOutcome out = accessInner(req.va, req.type);
-        ++batch.accesses;
-        if (out.tlbHit)
-            ++batch.tlbHits;
-        else
-            statWalkCycles_.sample(out.cycles);
-        if (!out.ok())
-            ++batch.faults;
-        batch.cycles += out.cycles;
-        batch.nptRefs += out.nptRefs;
-        batch.gptRefs += out.gptRefs;
-        batch.dataRefs += out.dataRefs;
-        batch.pmptRefs += out.pmptRefs;
-        batch.gTlbHits += out.gTlbHits;
-    }
-    statAccesses_ += batch.accesses;
-    statTlbHits_ += batch.tlbHits;
-    statWalks_ += batch.accesses - batch.tlbHits;
-    statNptRefs_ += batch.nptRefs;
-    statGptRefs_ += batch.gptRefs;
-    statDataRefs_ += batch.dataRefs;
-    statPmptRefs_ += batch.pmptRefs;
-    statGTlbHits_ += batch.gTlbHits;
-    statFaults_ += batch.faults;
-    return batch;
+    VirtBatchOutcome b;
+    for (const AccessRequest &req : reqs)
+        tally(b, accessInner(req.va, req.type));
+    commit(b);
+    return b;
 }
 
 VirtAccessOutcome

@@ -163,11 +163,13 @@ class VirtMachine
     VirtMachine(std::unique_ptr<Machine> owned, Machine *host,
                 const std::string &stat_prefix);
 
-    /** The access path proper (stats wrappers live in access()). */
+    /** The access path proper (stats ladder lives in tally()). */
     VirtAccessOutcome accessInner(Addr gva, AccessType type);
 
-    /** Add one outcome to the "virt_machine.*" counters. */
-    void account(const VirtAccessOutcome &out);
+    /** The stats ladder of access() and accessBatch(): tally() adds one
+     *  access to a batch total, commit() the total to the counters. */
+    void tally(VirtBatchOutcome &b, const VirtAccessOutcome &out);
+    void commit(const VirtBatchOutcome &b);
 
     std::unique_ptr<Machine> ownedMachine_; //!< set by the owning ctor
     Machine &machine_;                      //!< owned or wrapped host
